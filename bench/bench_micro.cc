@@ -88,6 +88,31 @@ void BM_SynthesizePrograms(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthesizePrograms)->RangeMultiplier(2)->Range(8, 64);
 
+// WT-shaped context examples (about 31-character sources, 20-character
+// targets): the per-prompt synthesis cost of the simulated DTT model.
+const ExamplePair kWebRow1{"Justin Pierre Trudeau, Ottawa ON",
+                           "j.trudeau@ottawa.ca"};
+const ExamplePair kWebRow2{"Kim Abigail Campbell, Vancouver BC",
+                           "k.campbell@vancouver.ca"};
+
+void BM_SynthesizeProgramsWebRow(benchmark::State& state) {
+  induction::InductionConfig cfg;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(induction::SynthesizePrograms(kWebRow1, cfg));
+  }
+}
+BENCHMARK(BM_SynthesizeProgramsWebRow);
+
+void BM_SynthesizeCommonPrograms(benchmark::State& state) {
+  induction::InductionConfig cfg;
+  const std::vector<ExamplePair> examples = {kWebRow1, kWebRow2};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        induction::SynthesizeCommonPrograms(examples, cfg));
+  }
+}
+BENCHMARK(BM_SynthesizeCommonPrograms);
+
 void BM_Aggregate(benchmark::State& state) {
   Aggregator agg;
   std::vector<std::string> votes;

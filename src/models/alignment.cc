@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 
+#include "models/alignment_internal.h"
 #include "util/string_util.h"
 
 namespace dtt {
@@ -157,11 +158,7 @@ std::vector<std::string> TokenizeCell(std::string_view s,
 
 namespace {
 
-struct Cand {
-  Atom atom;
-  size_t len;    // target characters produced
-  double score;  // contribution to the program score
-};
+using internal::Cand;
 
 // Max l such that ApplyCase(op, s.substr(p, l)) matches t.substr(j, l).
 size_t MatchLen(std::string_view s, size_t p, std::string_view t, size_t j,
@@ -333,7 +330,28 @@ void AddLiteralCandidates(std::string_view t, size_t j,
   }
 }
 
-// Merges adjacent literal atoms so equivalent programs share one key.
+}  // namespace
+
+namespace internal {
+
+std::vector<std::vector<Cand>> PositionCandidates(const TokenCache& cache,
+                                                  std::string_view target,
+                                                  const InductionConfig& cfg) {
+  std::vector<std::vector<Cand>> cands(target.size());
+  for (size_t j = 0; j < target.size(); ++j) {
+    auto& c = cands[j];
+    AddTokenCandidates(cache, target, j, cfg, &c);
+    AddCharRangeCandidates(cache.input(), target, j, cfg, &c);
+    AddLiteralCandidates(target, j, cfg, &c);
+    // Keep the strongest candidates per position.
+    std::stable_sort(c.begin(), c.end(), [](const Cand& a, const Cand& b) {
+      return a.score > b.score;
+    });
+    if (c.size() > 72) c.resize(72);
+  }
+  return cands;
+}
+
 void CanonicalizeLiterals(AtomProgram* program) {
   std::vector<Atom> merged;
   for (auto& atom : program->atoms) {
@@ -347,79 +365,122 @@ void CanonicalizeLiterals(AtomProgram* program) {
   program->atoms = std::move(merged);
 }
 
-struct Partial {
-  std::vector<Atom> atoms;
-  double score = 0.0;
+}  // namespace internal
+
+namespace {
+
+using Candidates = std::vector<std::vector<Cand>>;
+
+// A partial program in a per-call search arena: its last atom is
+// cands[pos][cand], the atoms before it are the parent's (-1 marks the empty
+// program at the root). Extending a partial appends one node, and beams and
+// DP states hold node indices, so atoms are copied only when a finished
+// program is materialized.
+struct Node {
+  int32_t parent;
+  uint32_t pos;
+  uint32_t cand;
+  int32_t depth;  // atoms in the program
+  double score;
 };
+static_assert(sizeof(Node) == 24, "Node is meant to stay small");
+
+// Appends the extension of `parent` by cands[pos][cand]; returns its index.
+uint32_t Extend(std::vector<Node>* nodes, uint32_t parent, size_t pos,
+                size_t cand, const Candidates& cands) {
+  const Node& p = (*nodes)[parent];
+  Node ext{static_cast<int32_t>(parent), static_cast<uint32_t>(pos),
+           static_cast<uint32_t>(cand), p.depth + 1,
+           p.score + cands[pos][cand].score};
+  nodes->push_back(ext);
+  return static_cast<uint32_t>(nodes->size() - 1);
+}
+
+// Best score first, ties to the older node. Every push into a beam or DP
+// state is a fresh node, so among equal scores node order is insertion order
+// and this total order is exactly what a stable sort by score (the copy-based
+// search's pruning) produces.
+struct BetterNode {
+  const std::vector<Node>& nodes;
+  bool operator()(uint32_t a, uint32_t b) const {
+    if (nodes[a].score != nodes[b].score) {
+      return nodes[a].score > nodes[b].score;
+    }
+    return a < b;
+  }
+};
+
+// Keeps the best `cap` of `ids` when there are more, in order.
+void KeepBest(const std::vector<Node>& nodes, size_t cap,
+              std::vector<uint32_t>* ids) {
+  if (ids->size() <= cap) return;
+  std::partial_sort(ids->begin(), ids->begin() + static_cast<ptrdiff_t>(cap),
+                    ids->end(), BetterNode{nodes});
+  ids->resize(cap);
+}
+
+// The finished programs of `done`, best first, deduplicated by key after
+// literal canonicalization, at most cfg.max_programs of them.
+std::vector<AtomProgram> Materialize(const std::vector<Node>& nodes,
+                                     std::vector<uint32_t> done,
+                                     const Candidates& cands,
+                                     const InductionConfig& cfg) {
+  std::sort(done.begin(), done.end(), BetterNode{nodes});
+  std::vector<AtomProgram> out;
+  std::unordered_set<std::string> seen;
+  for (uint32_t id : done) {
+    AtomProgram program;
+    program.score = nodes[id].score;
+    program.atoms.resize(static_cast<size_t>(nodes[id].depth));
+    for (const Node* n = &nodes[id]; n->parent >= 0; n = &nodes[n->parent]) {
+      program.atoms[static_cast<size_t>(n->depth - 1)] =
+          cands[n->pos][n->cand].atom;
+    }
+    internal::CanonicalizeLiterals(&program);
+    if (!seen.insert(program.Key()).second) continue;
+    out.push_back(std::move(program));
+    if (static_cast<int>(out.size()) >= cfg.max_programs) break;
+  }
+  return out;
+}
 
 }  // namespace
 
 std::vector<AtomProgram> SynthesizePrograms(const ExamplePair& ex,
                                             const InductionConfig& cfg) {
-  std::vector<AtomProgram> out;
-  const std::string& s = ex.source;
   const std::string& t = ex.target;
-  if (t.empty()) return out;
-  TokenCache cache(s, cfg.separators);
+  if (t.empty()) return {};
+  TokenCache cache(ex.source, cfg.separators);
+  const Candidates cands = internal::PositionCandidates(cache, t, cfg);
 
-  // Candidate atoms per target position.
-  std::vector<std::vector<Cand>> cands(t.size());
-  for (size_t j = 0; j < t.size(); ++j) {
-    AddTokenCandidates(cache, t, j, cfg, &cands[j]);
-    AddCharRangeCandidates(s, t, j, cfg, &cands[j]);
-    AddLiteralCandidates(t, j, cfg, &cands[j]);
-    // Keep the strongest candidates per position.
-    auto& c = cands[j];
-    std::stable_sort(c.begin(), c.end(),
-                     [](const Cand& a, const Cand& b) { return a.score > b.score; });
-    if (c.size() > 72) c.resize(72);
+  // Beam over target positions. A pruned beam holds at most 2 * beam_width
+  // partials, which bounds the arena; reserving it up front spares the
+  // copies of a growing vector.
+  size_t max_nodes = 1;
+  for (const auto& c : cands) {
+    max_nodes += 2 * static_cast<size_t>(cfg.beam_width) * c.size();
   }
-
-  // Beam over target positions.
-  std::vector<std::vector<Partial>> beams(t.size() + 1);
-  beams[0].push_back({});
+  std::vector<Node> nodes;
+  nodes.reserve(max_nodes);
+  nodes.push_back({-1, 0, 0, 0, 0.0});
+  std::vector<std::vector<uint32_t>> beams(t.size() + 1);
+  beams[0].push_back(0);
   for (size_t j = 0; j < t.size(); ++j) {
     if (beams[j].empty()) continue;
-    for (const auto& partial : beams[j]) {
-      if (static_cast<int>(partial.atoms.size()) >= cfg.max_atoms) continue;
-      for (const auto& cand : cands[j]) {
-        size_t next = j + cand.len;
-        Partial ext = partial;
-        ext.atoms.push_back(cand.atom);
-        ext.score += cand.score;
-        beams[next].push_back(std::move(ext));
+    for (uint32_t id : beams[j]) {
+      if (nodes[id].depth >= cfg.max_atoms) continue;
+      for (size_t c = 0; c < cands[j].size(); ++c) {
+        beams[j + cands[j][c].len].push_back(Extend(&nodes, id, j, c, cands));
       }
     }
-    beams[j].clear();  // free memory as we go
+    beams[j].clear();
     for (size_t n = j + 1; n <= t.size(); ++n) {
-      auto& beam = beams[n];
-      if (static_cast<int>(beam.size()) > cfg.beam_width * 2) {
-        std::stable_sort(beam.begin(), beam.end(),
-                         [](const Partial& a, const Partial& b) {
-                           return a.score > b.score;
-                         });
-        beam.resize(static_cast<size_t>(cfg.beam_width));
+      if (static_cast<int>(beams[n].size()) > cfg.beam_width * 2) {
+        KeepBest(nodes, static_cast<size_t>(cfg.beam_width), &beams[n]);
       }
     }
   }
-
-  auto& done = beams[t.size()];
-  std::stable_sort(done.begin(), done.end(),
-                   [](const Partial& a, const Partial& b) {
-                     return a.score > b.score;
-                   });
-  std::unordered_set<std::string> seen;
-  for (auto& partial : done) {
-    AtomProgram program;
-    program.atoms = std::move(partial.atoms);
-    program.score = partial.score;
-    CanonicalizeLiterals(&program);
-    std::string key = program.Key();
-    if (!seen.insert(key).second) continue;
-    out.push_back(std::move(program));
-    if (static_cast<int>(out.size()) >= cfg.max_programs) break;
-  }
-  return out;
+  return Materialize(nodes, std::move(beams[t.size()]), cands, cfg);
 }
 
 namespace {
@@ -432,85 +493,56 @@ namespace {
 std::vector<AtomProgram> JointSynthesize(const ExamplePair& ex1,
                                          const ExamplePair& ex2,
                                          const InductionConfig& cfg) {
-  std::vector<AtomProgram> out;
   const std::string& t1 = ex1.target;
   const std::string& t2 = ex2.target;
-  if (t1.empty() || t2.empty()) return out;
+  if (t1.empty() || t2.empty()) return {};
   TokenCache cache1(ex1.source, cfg.separators);
   TokenCache cache2(ex2.source, cfg.separators);
 
   // Candidate atoms anchored on example 1's positions (as in the
   // single-example synthesis); each is validated against example 2 lazily.
-  std::vector<std::vector<Cand>> cands1(t1.size());
-  for (size_t j = 0; j < t1.size(); ++j) {
-    AddTokenCandidates(cache1, t1, j, cfg, &cands1[j]);
-    AddCharRangeCandidates(ex1.source, t1, j, cfg, &cands1[j]);
-    AddLiteralCandidates(t1, j, cfg, &cands1[j]);
-    auto& c = cands1[j];
-    std::stable_sort(c.begin(), c.end(), [](const Cand& a, const Cand& b) {
-      return a.score > b.score;
-    });
-    if (c.size() > 72) c.resize(72);
-  }
+  const Candidates cands1 = internal::PositionCandidates(cache1, t1, cfg);
 
   // dp[j1][j2]: best partial programs reaching (j1, j2).
   constexpr size_t kPerState = 4;
   const size_t n1 = t1.size() + 1;
   const size_t n2 = t2.size() + 1;
-  std::vector<std::vector<std::vector<Partial>>> dp(
-      n1, std::vector<std::vector<Partial>>(n2));
-  dp[0][0].push_back({});
-  auto keep_top = [](std::vector<Partial>* v, size_t cap) {
-    if (v->size() <= cap) return;
-    std::stable_sort(v->begin(), v->end(), [](const Partial& a,
-                                              const Partial& b) {
-      return a.score > b.score;
-    });
-    v->resize(cap);
-  };
+  std::vector<Node> nodes = {{-1, 0, 0, 0, 0.0}};
+  std::vector<std::vector<std::vector<uint32_t>>> dp(
+      n1, std::vector<std::vector<uint32_t>>(n2));
+  dp[0][0].push_back(0);
+  // Example 2's piece per candidate of the current j1; it does not depend on
+  // j2, so it is computed once, at the first live state of the column.
+  std::vector<std::optional<std::string>> pieces2;
 
   // Process states in increasing j1 (atoms always consume >= 1 char of t1).
   for (size_t j1 = 0; j1 < t1.size(); ++j1) {
+    pieces2.clear();
     for (size_t j2 = 0; j2 <= t2.size(); ++j2) {
       auto& here = dp[j1][j2];
       if (here.empty()) continue;
-      keep_top(&here, kPerState);
-      for (const auto& cand : cands1[j1]) {
+      KeepBest(nodes, kPerState, &here);
+      if (pieces2.empty()) {
+        for (const auto& cand : cands1[j1]) {
+          pieces2.push_back(cand.atom.Apply(cache2));
+        }
+      }
+      for (size_t c = 0; c < cands1[j1].size(); ++c) {
         // The same descriptor must produce a matching piece for example 2.
-        auto piece2 = cand.atom.Apply(cache2);
+        const auto& piece2 = pieces2[c];
         if (!piece2) continue;
         if (t2.compare(j2, piece2->size(), *piece2) != 0) continue;
-        size_t next2 = j2 + piece2->size();
-        size_t next1 = j1 + cand.len;
-        for (const auto& partial : here) {
-          if (static_cast<int>(partial.atoms.size()) >= cfg.max_atoms) continue;
-          Partial ext = partial;
-          ext.atoms.push_back(cand.atom);
-          ext.score += cand.score;
-          dp[next1][next2].push_back(std::move(ext));
+        auto& next = dp[j1 + cands1[j1][c].len][j2 + piece2->size()];
+        for (uint32_t id : here) {
+          if (nodes[id].depth >= cfg.max_atoms) continue;
+          next.push_back(Extend(&nodes, id, j1, c, cands1));
         }
       }
       here.clear();
       here.shrink_to_fit();
     }
   }
-
-  auto& done = dp[t1.size()][t2.size()];
-  std::stable_sort(done.begin(), done.end(),
-                   [](const Partial& a, const Partial& b) {
-                     return a.score > b.score;
-                   });
-  std::unordered_set<std::string> seen;
-  for (auto& partial : done) {
-    AtomProgram program;
-    program.atoms = std::move(partial.atoms);
-    program.score = partial.score;
-    CanonicalizeLiterals(&program);
-    if (!seen.insert(program.Key()).second) continue;
-    out.push_back(std::move(program));
-    if (static_cast<int>(out.size()) >= cfg.max_programs) break;
-  }
-  return out;
+  return Materialize(nodes, std::move(dp[t1.size()][t2.size()]), cands1, cfg);
 }
 
 }  // namespace
@@ -525,11 +557,16 @@ std::vector<AtomProgram> SynthesizeCommonPrograms(
   if (examples.size() == 2) return result;
 
   // More than two examples: verify the joint programs on the rest.
+  std::vector<TokenCache> rest;
+  rest.reserve(examples.size() - 2);
+  for (size_t i = 2; i < examples.size(); ++i) {
+    rest.emplace_back(examples[i].source, cfg.separators);
+  }
   std::vector<AtomProgram> filtered;
   for (auto& program : result) {
     bool ok = true;
     for (size_t i = 2; i < examples.size() && ok; ++i) {
-      auto out = program.Apply(examples[i].source, cfg.separators);
+      auto out = program.Apply(rest[i - 2]);
       ok = out && *out == examples[i].target;
     }
     if (ok) filtered.push_back(std::move(program));

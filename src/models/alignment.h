@@ -1,6 +1,7 @@
 #ifndef DTT_MODELS_ALIGNMENT_H_
 #define DTT_MODELS_ALIGNMENT_H_
 
+#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -44,7 +45,8 @@ class TokenCache {
  public:
   TokenCache(std::string_view input, std::string_view separators);
 
-  /// Tokens of a family (0 = all separators).
+  /// Tokens of a family (0 = all separators). The reference stays valid for
+  /// the cache's lifetime, across later first-time calls for other families.
   const std::vector<std::string>& Tokens(char family) const;
 
   /// Separator characters that actually occur in the input.
@@ -56,7 +58,8 @@ class TokenCache {
   std::string input_;
   std::string separators_;
   std::string present_;
-  mutable std::vector<std::pair<char, std::vector<std::string>>> families_;
+  // A deque so that adding a family never moves the ones already handed out.
+  mutable std::deque<std::pair<char, std::vector<std::string>>> families_;
 };
 
 /// One output segment of a synthesized program.
@@ -126,8 +129,8 @@ std::vector<std::string> TokenizeCell(std::string_view s,
 std::vector<AtomProgram> SynthesizePrograms(const ExamplePair& ex,
                                             const InductionConfig& cfg);
 
-/// Programs valid for every example: synthesizes per example and intersects
-/// by structural key; result sorted by score (descending).
+/// Programs valid for every example: a joint search over the first two
+/// examples, verified on the rest; result sorted by score (descending).
 std::vector<AtomProgram> SynthesizeCommonPrograms(
     const std::vector<ExamplePair>& examples, const InductionConfig& cfg);
 

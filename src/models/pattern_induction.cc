@@ -96,10 +96,12 @@ Result<std::string> PatternInductionModel::Transform(const Prompt& prompt) {
   }
 
   // 3. Character-level program synthesis across all context examples.
+  const induction::TokenCache source(prompt.source,
+                                     options_.induction.separators);
   auto programs =
       induction::SynthesizeCommonPrograms(prompt.examples, options_.induction);
   for (const auto& program : programs) {
-    auto out = program.Apply(prompt.source, options_.induction.separators);
+    auto out = program.Apply(source);
     if (out && !out->empty()) {
       return CorruptChars(*out, options_.generation_noise, &rng);
     }
@@ -118,7 +120,7 @@ Result<std::string> PatternInductionModel::Transform(const Prompt& prompt) {
     for (const auto& example : prompt.examples) {
       auto singles = induction::SynthesizePrograms(example, options_.induction);
       for (const auto& program : singles) {
-        auto out = program.Apply(prompt.source, options_.induction.separators);
+        auto out = program.Apply(source);
         if (out && !out->empty()) {
           if (program.score > best_score) {
             best_score = program.score;

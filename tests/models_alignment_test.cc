@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "data/realworld_datasets.h"
+#include "testing/reference_synthesis.h"
+
 namespace dtt {
 namespace induction {
 namespace {
@@ -24,6 +27,18 @@ TEST(ApplyCaseTest, AllOps) {
   EXPECT_EQ(ApplyCase(CaseOp::kNone, "AbC"), "AbC");
   EXPECT_EQ(ApplyCase(CaseOp::kLower, "AbC"), "abc");
   EXPECT_EQ(ApplyCase(CaseOp::kUpper, "AbC"), "ABC");
+}
+
+TEST(TokenCacheTest, TokensStayValidAcrossNewFamilies) {
+  TokenCache cache("a-b c-d e", " -");
+  const std::vector<std::string>& dash = cache.Tokens('-');
+  // First-time requests for other families must not move `dash`.
+  cache.Tokens(' ');
+  cache.Tokens(0);
+  ASSERT_EQ(dash.size(), 3u);
+  EXPECT_EQ(dash[0], "a");
+  EXPECT_EQ(dash[1], "b c");
+  EXPECT_EQ(dash[2], "d e");
 }
 
 TEST(TokenCacheTest, FamiliesDecomposeDifferently) {
@@ -334,6 +349,101 @@ TEST(AtomProgramTest, KeyStableAcrossEquivalentPrograms) {
   ASSERT_FALSE(p2.empty());
   // Both best programs should be "copy last token" with identical keys.
   EXPECT_EQ(p1[0].Key(), p2[0].Key());
+}
+
+// The arena-beam searches against the copy-based reference kept in
+// tests/testing: same programs, same order, bit-identical scores.
+void ExpectSamePrograms(const std::vector<AtomProgram>& got,
+                        const std::vector<AtomProgram>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].Key(), want[i].Key()) << what << " program " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << what << " program " << i;
+  }
+}
+
+void ExpectParity(const std::vector<ExamplePair>& examples,
+                  const InductionConfig& cfg, const std::string& what) {
+  for (size_t i = 0; i < examples.size(); ++i) {
+    ExpectSamePrograms(SynthesizePrograms(examples[i], cfg),
+                       testing::ReferenceSynthesizePrograms(examples[i], cfg),
+                       what + " single " + std::to_string(i));
+  }
+  for (size_t n = 2; n <= examples.size(); ++n) {
+    std::vector<ExamplePair> context(examples.begin(), examples.begin() + n);
+    ExpectSamePrograms(
+        SynthesizeCommonPrograms(context, cfg),
+        testing::ReferenceSynthesizeCommonPrograms(context, cfg),
+        what + " common " + std::to_string(n));
+  }
+}
+
+std::vector<std::vector<ExamplePair>> WebTableContexts() {
+  RealWorldOptions opts;
+  Rng rng(7);
+  Dataset wt = MakeWebTables(opts, &rng);
+  std::vector<std::vector<ExamplePair>> contexts;
+  for (const auto& table : wt.tables) {
+    std::vector<ExamplePair> context;
+    for (size_t r = 0; r < table.num_rows() && context.size() < 3; ++r) {
+      context.push_back({table.source[r], table.target[r]});
+    }
+    contexts.push_back(std::move(context));
+  }
+  return contexts;
+}
+
+TEST(SynthesisParityTest, WebTablesMatchReference) {
+  auto contexts = WebTableContexts();
+  ASSERT_EQ(contexts.size(), 31u);
+  for (size_t t = 0; t < contexts.size(); ++t) {
+    ExpectParity(contexts[t], DefaultCfg(), "table " + std::to_string(t));
+  }
+}
+
+TEST(SynthesisParityTest, MaxAtomsBound) {
+  InductionConfig cfg;
+  cfg.max_atoms = 2;
+  ExpectParity({{"John Smith", "Smith, John"},
+                {"Alice Walker", "Walker, Alice"},
+                {"Maria Garcia", "Garcia, Maria"}},
+               cfg, "max_atoms 2");
+  auto contexts = WebTableContexts();
+  for (size_t t = 0; t < contexts.size(); t += 5) {
+    ExpectParity(contexts[t], cfg, "max_atoms 2, table " + std::to_string(t));
+  }
+}
+
+TEST(SynthesisParityTest, MaxProgramsTruncation) {
+  InductionConfig cfg;
+  cfg.max_programs = 3;
+  ExamplePair ex{"Justin Trudeau", "j.trudeau"};
+  ASSERT_GT(SynthesizePrograms(ex, DefaultCfg()).size(), 3u);
+  ExpectSamePrograms(SynthesizePrograms(ex, cfg),
+                     testing::ReferenceSynthesizePrograms(ex, cfg),
+                     "max_programs 3");
+  ExpectParity({ex, {"Kim Campbell", "k.campbell"}}, cfg, "max_programs 3");
+}
+
+TEST(SynthesisParityTest, DegradedConfig) {
+  InductionConfig cfg;
+  cfg.allow_char_range = false;
+  cfg.allow_token_slice = false;
+  cfg.max_literal_len = 2;
+  cfg.beam_width = 8;
+  auto contexts = WebTableContexts();
+  for (size_t t = 0; t < contexts.size(); t += 3) {
+    ExpectParity(contexts[t], cfg, "degraded, table " + std::to_string(t));
+  }
+}
+
+TEST(SynthesisParityTest, EmptyTarget) {
+  ExpectParity({{"abc", ""}, {"de", "d"}}, DefaultCfg(), "empty first");
+  ExpectParity({{"de", "d"}, {"abc", ""}}, DefaultCfg(), "empty second");
+  EXPECT_TRUE(SynthesizeCommonPrograms({{"abc", ""}, {"de", "d"}},
+                                       DefaultCfg())
+                  .empty());
 }
 
 }  // namespace
