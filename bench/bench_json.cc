@@ -6,7 +6,6 @@
 #include <cstring>
 #include <thread>
 
-#include "nn/kernel_provider.h"
 #include "obs/metrics.h"
 
 extern char** environ;
@@ -108,10 +107,6 @@ BenchJsonReporter::BenchJsonReporter(std::string bench_name)
   meta_.Set("schema_version", kBenchJsonSchemaVersion);
   meta_.Set("host_threads",
             static_cast<int64_t>(std::thread::hardware_concurrency()));
-  // The GEMM provider active at document creation (process default).
-  // Benchmarks that pin a provider per run (bench_micro's
-  // BM_*/<provider>/* instances) carry it in the run name instead.
-  meta_.Set("kernel_provider", nn::ActiveKernelProvider().name());
   for (const auto& [key, value] : DttEnvOverrides()) {
     meta_.Set("env_" + key, value);
   }

@@ -16,8 +16,9 @@ namespace bench {
 /// machines/PRs can filter for comparable documents. Version 2 added the
 /// automatic meta stamp (schema_version, host_threads, env_DTT_*); version 3
 /// added the "metrics" block (a flattened snapshot of the process-wide
-/// obs::MetricsRegistry, taken when the document is rendered).
-inline constexpr int64_t kBenchJsonSchemaVersion = 3;
+/// obs::MetricsRegistry, taken when the document is rendered); version 4
+/// dropped the GEMM-provider stamp when the providers were deleted.
+inline constexpr int64_t kBenchJsonSchemaVersion = 4;
 
 /// The DTT_* environment overrides in effect, sorted by name — the knobs
 /// (row scale, worker counts, sweep grids, ...) that make two runs of the

@@ -14,7 +14,6 @@
 #include "io/model_artifact.h"
 #include "models/alignment.h"
 #include "nn/checkpoint.h"
-#include "nn/kernel_provider.h"
 #include "nn/trainer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -140,21 +139,6 @@ void BM_Join(benchmark::State& state) {
 }
 BENCHMARK(BM_Join)->Range(8, 128)->Complexity(benchmark::oNSquared);
 
-// Activates a kernel provider for one benchmark body and restores the
-// previous selection after (the neural benches are parameterized per
-// provider via BENCHMARK_CAPTURE: "BM_GenerateBatch/vec_f32/8").
-class ProviderScope {
- public:
-  explicit ProviderScope(const char* name)
-      : previous_(nn::ActiveKernelProvider().name()) {
-    nn::SetActiveKernelProvider(name);
-  }
-  ~ProviderScope() { nn::SetActiveKernelProvider(previous_); }
-
- private:
-  std::string previous_;
-};
-
 nn::TransformerConfig BenchConfig() {
   nn::TransformerConfig cfg;
   cfg.dim = 48;
@@ -195,8 +179,7 @@ void BM_TrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainStep);
 
-void BM_BatchTrainStep(benchmark::State& state, const char* provider) {
-  ProviderScope scope(provider);
+void BM_BatchTrainStep(benchmark::State& state) {
   Rng rng(13);
   nn::Transformer model(BenchConfig(), &rng);
   SerializerOptions sopts;
@@ -218,12 +201,9 @@ void BM_BatchTrainStep(benchmark::State& state, const char* provider) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK_CAPTURE(BM_BatchTrainStep, scalar, "scalar")->Arg(4)->Arg(16);
-BENCHMARK_CAPTURE(BM_BatchTrainStep, vec_f32, "vec_f32")->Arg(4)->Arg(16);
-BENCHMARK_CAPTURE(BM_BatchTrainStep, int8, "int8")->Arg(4)->Arg(16);
+BENCHMARK(BM_BatchTrainStep)->Arg(4)->Arg(16);
 
-void BM_GenerateBatch(benchmark::State& state, const char* provider) {
-  ProviderScope scope(provider);
+void BM_GenerateBatch(benchmark::State& state) {
   Rng rng(14);
   nn::Transformer model(BenchConfig(), &rng);
   std::vector<std::vector<int>> inputs(
@@ -234,9 +214,7 @@ void BM_GenerateBatch(benchmark::State& state, const char* provider) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK_CAPTURE(BM_GenerateBatch, scalar, "scalar")->Arg(1)->Arg(8);
-BENCHMARK_CAPTURE(BM_GenerateBatch, vec_f32, "vec_f32")->Arg(1)->Arg(8);
-BENCHMARK_CAPTURE(BM_GenerateBatch, int8, "int8")->Arg(1)->Arg(8);
+BENCHMARK(BM_GenerateBatch)->Arg(1)->Arg(8);
 
 // Distinct prompts for the beam benchmarks: identical ones would collapse
 // onto one encoder pass via the engine's prompt dedup and overstate the win.
@@ -269,8 +247,7 @@ void BM_BeamDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_BeamDecode)->Arg(4);
 
-void BM_BeamDecodeBatch(benchmark::State& state, const char* provider) {
-  ProviderScope scope(provider);
+void BM_BeamDecodeBatch(benchmark::State& state) {
   Rng rng(16);
   nn::Transformer model(BenchConfig(), &rng);
   const auto prompts = BeamBenchPrompts(8);
@@ -281,9 +258,7 @@ void BM_BeamDecodeBatch(benchmark::State& state, const char* provider) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(prompts.size()));
 }
-BENCHMARK_CAPTURE(BM_BeamDecodeBatch, scalar, "scalar")->Arg(1)->Arg(4);
-BENCHMARK_CAPTURE(BM_BeamDecodeBatch, vec_f32, "vec_f32")->Arg(1)->Arg(4);
-BENCHMARK_CAPTURE(BM_BeamDecodeBatch, int8, "int8")->Arg(1)->Arg(4);
+BENCHMARK(BM_BeamDecodeBatch)->Arg(1)->Arg(4);
 
 // The observability fast paths themselves: a disabled TraceSpan must cost
 // about one relaxed atomic load (this is the bench-level view of the <1%

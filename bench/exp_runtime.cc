@@ -13,16 +13,11 @@
 //  (f) beam-decode throughput: the legacy per-prompt autograd BeamDecode vs
 //      the batched KV-cache BeamDecodeBatch at beam width 4 (bit-exact, so
 //      the delta is pure throughput; target >= 2x);
-//  (g) kernel providers: greedy/beam decode throughput per provider
-//      (scalar / vec_f32 / int8, see nn/kernel_provider.h) plus the int8
-//      end-to-end accuracy gate — join F1 of a trained mini model under
-//      int8 must stay within 0.15 of the fp32 run.
 // Absolute numbers differ (different hardware and model substrate); the
 // claim reproduced is the GROWTH: DTT scales roughly linearly with length
 // and rows, CST polynomially with length and quadratically with rows.
 // Every timing also lands in a machine-readable JSON document (see
 // bench/bench_json.h) so perf deltas are tracked across PRs.
-#include <cmath>
 #include <cstdio>
 #include <thread>
 
@@ -33,8 +28,6 @@
 #include "eval/experiment.h"
 #include "eval/report.h"
 #include "models/neural_model.h"
-#include "nn/kernel_provider.h"
-#include "nn/trainer.h"
 #include "text/tokenizer.h"
 #include "util/stopwatch.h"
 
@@ -217,179 +210,6 @@ void BeamThroughput(uint64_t seed, bench::BenchJsonReporter* report) {
                                                              identical);
 }
 
-/// (g): kernel providers. Two legs, matching the provider contract
-/// (nn/kernel_provider.h): decode throughput per provider on the section
-/// (d)/(f) model (scalar vs vec_f32 must be bit-identical, so their delta is
-/// pure kernel throughput), and the int8 end-to-end gate — a trained mini
-/// model evaluated on a reduced join grid under fp32 and int8, whose
-/// Table-1-style F1 must stay within the documented tolerance (0.15; see
-/// docs/architecture.md "Kernel providers").
-void KernelProviderSweep(const bench::ExpContext& ctx,
-                         bench::BenchJsonReporter* report) {
-  nn::TransformerConfig cfg;
-  cfg.dim = 48;
-  cfg.num_heads = 4;
-  cfg.ff_hidden = 96;
-  cfg.encoder_layers = 2;
-  cfg.decoder_layers = 1;
-  cfg.max_len = 160;
-  Rng init_rng(ctx.seed);
-  nn::Transformer model(cfg, &init_rng);
-  Rng data_rng(ctx.seed + 4);
-  ByteTokenizer tokenizer;
-  std::vector<std::vector<int>> prompts;
-  for (int i = 0; i < 16; ++i) {
-    prompts.push_back(tokenizer.Encode(ThroughputSource(&data_rng), false));
-  }
-
-  TablePrinter table({"provider", "greedy tok/s", "beam prompts/s",
-                      "greedy speedup", "identical to scalar"});
-  std::vector<std::vector<int>> scalar_out;
-  double scalar_rate = 0.0;
-  for (const std::string& name : nn::KernelProviderNames()) {
-    Status st = nn::SetActiveKernelProvider(name);
-    if (!st.ok()) continue;
-    model.GenerateBatch(prompts, 4);  // warm packed-weight caches
-    Stopwatch greedy_timer;
-    std::vector<std::vector<int>> out = model.GenerateBatch(prompts, 12);
-    const double greedy_seconds = greedy_timer.Seconds();
-    Stopwatch beam_timer;
-    model.BeamDecodeBatch(prompts, 12, 4);
-    const double beam_seconds = beam_timer.Seconds();
-    size_t tokens = 0;
-    for (const auto& seq : out) tokens += seq.size();
-    const double tok_rate =
-        greedy_seconds > 0.0 ? tokens / greedy_seconds : 0.0;
-    const double beam_rate =
-        beam_seconds > 0.0 ? prompts.size() / beam_seconds : 0.0;
-    if (name == "scalar") {
-      scalar_out = out;
-      scalar_rate = tok_rate;
-    }
-    const bool identical = out == scalar_out;
-    const double speedup = scalar_rate > 0.0 ? tok_rate / scalar_rate : 0.0;
-    table.AddRow({name, TablePrinter::Num(tok_rate, 1),
-                  TablePrinter::Num(beam_rate, 2),
-                  TablePrinter::Num(speedup, 2), identical ? "yes" : "no"});
-    report->AddRun("provider_decode")
-        .Set("kernel_provider", name)
-        .Set("greedy_tokens_per_sec", tok_rate)
-        .Set("beam_prompts_per_sec", beam_rate)
-        .Set("greedy_speedup_vs_scalar", speedup)
-        .Set("identical_to_scalar", identical);
-  }
-  nn::SetActiveKernelProvider("scalar");
-  table.Print();
-
-  // The int8 accuracy gate: train once (fp32), evaluate the same weights
-  // through the full join pipeline under both providers. At this scale both
-  // legs sit near the bottom of the F1 range (see exp_fig4's groups sweep),
-  // so alongside the F1 delta we report the denser signals: prediction ANED
-  // per leg and the fraction of greedy decodes on which int8 agrees with
-  // fp32 exactly.
-  Rng train_rng(ctx.seed + 5);
-  auto trained = std::make_shared<nn::Transformer>(cfg, &train_rng);
-  TrainingDataOptions dopts;
-  dopts.num_groups = 200;
-  dopts.pairs_per_group = 10;
-  dopts.sets_per_group = 4;
-  dopts.source.min_len = 4;
-  dopts.source.max_len = 9;
-  dopts.program.min_steps = 1;
-  dopts.program.max_steps = 2;
-  TrainingDataGenerator gen(dopts);
-  auto data = gen.Generate(&train_rng);
-  SerializerOptions sopts;
-  sopts.max_tokens = 160;
-  nn::TrainerOptions topts;
-  topts.epochs = 2;
-  topts.batch_size = 8;
-  topts.adam.lr = 2e-3f;
-  topts.max_label_tokens = 24;
-  nn::Seq2SeqTrainer trainer(trained.get(), Serializer(sopts), topts);
-  trainer.Train(data.train, &train_rng);
-  const auto val = trainer.Evaluate(data.validation, 30);
-
-  NeuralModelOptions nopts;
-  nopts.max_output_tokens = 16;
-  auto backend = std::make_shared<NeuralSeq2SeqModel>(
-      trained, Serializer(sopts), nopts);
-  std::vector<Prompt> agreement_prompts;
-  for (size_t i = 0; i < data.validation.size() && i < 24; ++i) {
-    Prompt p;
-    p.examples = data.validation[i].context;
-    p.source = data.validation[i].input_source;
-    agreement_prompts.push_back(std::move(p));
-  }
-  SyntheticOptions eval_opts;
-  eval_opts.num_tables = 3;
-  eval_opts.rows_per_table = 14;
-  eval_opts.min_len = 5;
-  eval_opts.max_len = 9;
-  double f1[2] = {0.0, 0.0};
-  double aned[2] = {0.0, 0.0};
-  std::vector<std::string> decodes[2];
-  const char* legs[2] = {"scalar", "int8"};
-  for (int leg = 0; leg < 2; ++leg) {
-    nn::SetActiveKernelProvider(legs[leg]);
-    PipelineOptions popts;
-    popts.decomposer.num_trials = 3;
-    popts.serializer = sopts;
-    ExperimentSpec spec = ctx.Spec(std::string("providers_") + legs[leg]);
-    spec.AddDataset("Syn-ST-mini", [eval_opts] {
-      Rng rng(kSeed + 6);
-      return MakeSynSt(eval_opts, &rng);
-    });
-    spec.AddMethod(std::make_unique<DttJoinMethod>(
-        "neural", std::vector<std::shared_ptr<TextToTextModel>>{backend},
-        popts));
-    GridResult grid = ctx.runner().Run(spec);
-    std::vector<JoinMetrics> joins;
-    std::vector<PredictionMetrics> preds;
-    for (const auto& row : grid.evals) {
-      for (const DatasetEval& eval : row) {
-        for (const TableEval& te : eval.per_table) {
-          joins.push_back(te.join);
-          preds.push_back(te.pred);
-        }
-      }
-    }
-    f1[leg] = AverageJoin(joins).f1;
-    aned[leg] = AveragePredictions(preds).aned;
-    for (auto& r : backend->TransformBatch(agreement_prompts)) {
-      decodes[leg].push_back(r.ok() ? r.value() : std::string("<error>"));
-    }
-  }
-  nn::SetActiveKernelProvider("scalar");
-  size_t agree = 0;
-  for (size_t i = 0; i < decodes[0].size(); ++i) {
-    if (decodes[0][i] == decodes[1][i]) ++agree;
-  }
-  const double agreement =
-      decodes[0].empty()
-          ? 0.0
-          : static_cast<double>(agree) / static_cast<double>(decodes[0].size());
-  const double delta = std::abs(f1[1] - f1[0]);
-  std::printf(
-      "int8 end-to-end gate: F1 fp32 %.3f vs int8 %.3f (|delta| %.3f, "
-      "tolerance 0.15)\n",
-      f1[0], f1[1], delta);
-  std::printf(
-      "  ANED fp32 %.3f vs int8 %.3f; val exact-match %.3f; "
-      "decode agreement %zu/%zu\n",
-      aned[0], aned[1], val.exact_match, agree, decodes[0].size());
-  report->AddRun("provider_accuracy")
-      .Set("f1_fp32", f1[0])
-      .Set("f1_int8", f1[1])
-      .Set("f1_delta", delta)
-      .Set("aned_fp32", aned[0])
-      .Set("aned_int8", aned[1])
-      .Set("val_exact_match", val.exact_match)
-      .Set("decode_agreement", agreement)
-      .Set("tolerance", 0.15)
-      .Set("within_tolerance", delta <= 0.15);
-}
-
 /// (e): the full benchmark grid (all seven datasets × the four Table 1
 /// methods) expanded into cells and sharded across the ExperimentRunner's
 /// workers — the "table sharding" level above PR 2's prompt-batch sharding.
@@ -551,9 +371,6 @@ int Main() {
 
   PrintBanner("(f) beam decode: legacy per-prompt vs batched KV-cache");
   BeamThroughput(ctx.seed, &ctx.report);
-
-  PrintBanner("(g) kernel providers: decode throughput + int8 accuracy gate");
-  KernelProviderSweep(ctx, &ctx.report);
 
   std::printf(
       "\nShape check vs §5.5: the CST column grows much faster than the DTT "

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <future>
 
-#include "nn/kernel_provider.h"
 #include "obs/trace.h"
 #include "serve/service.h"
 #include "util/thread_pool.h"
@@ -16,13 +15,6 @@ DttPipeline::DttPipeline(std::vector<std::shared_ptr<TextToTextModel>> models,
     : models_(std::move(models)),
       options_(options),
       decomposer_(options.decomposer) {
-  if (!options_.kernel_provider.empty()) {
-    Status st = nn::SetActiveKernelProvider(options_.kernel_provider);
-    if (!st.ok()) {
-      std::fprintf(stderr, "dtt: PipelineOptions.kernel_provider: %s\n",
-                   st.message().c_str());
-    }
-  }
   if (!options_.trace_path.empty()) {
     Status st = obs::StartTracing(options_.trace_path);
     if (!st.ok()) {

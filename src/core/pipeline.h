@@ -35,16 +35,10 @@ struct PipelineOptions {
   /// model is thread_safe().) Predictions are identical for any thread
   /// count either way.
   int num_threads = 1;
-  /// Kernel provider for every GEMM under this pipeline ("scalar",
-  /// "vec_f32", "int8" — see nn/kernel_provider.h). Empty keeps the
-  /// process-wide selection (DTT_KERNEL_PROVIDER env or default scalar).
-  /// Applied via SetActiveKernelProvider at pipeline construction: the
-  /// selection is process-global, not scoped to this pipeline's calls.
-  std::string kernel_provider;
   /// When non-empty, enables Chrome-trace span recording (obs/trace.h) and
   /// writes the trace-event JSON to this path at StopTracing / process
-  /// exit. Like kernel_provider, applied at pipeline construction and
-  /// process-global: equivalent to DTT_TRACE=<path> in the environment.
+  /// exit. Applied at pipeline construction and process-global: equivalent
+  /// to DTT_TRACE=<path> in the environment.
   /// Tracing only observes — predictions are bit-identical with it on.
   std::string trace_path;
 };

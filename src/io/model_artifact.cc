@@ -57,8 +57,6 @@ Status BindArtifact(const std::shared_ptr<ArtifactFile>& artifact,
   }
   for (auto& p : *params) {
     const ArtifactTensor* t = artifact->Find(p.name);
-    // mutable_value() bumps the node's value_revision, so kernel providers'
-    // packed-weight caches (Linear::PackedFor) rebuild off the new storage.
     p.var.mutable_value() = nn::Tensor::Borrowed(t->shape, t->data, t->size);
   }
   return Status::OK();

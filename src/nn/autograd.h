@@ -1,7 +1,6 @@
 #ifndef DTT_NN_AUTOGRAD_H_
 #define DTT_NN_AUTOGRAD_H_
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -17,11 +16,6 @@ struct Node {
   Tensor value;
   Tensor grad;  // allocated lazily on first accumulation
   bool requires_grad = false;
-  /// Bumped by Var::mutable_value() on every in-place value mutation
-  /// (optimizer steps, checkpoint loads). Consumers that cache derived
-  /// forms of the value — the kernel providers' packed weights in
-  /// Linear::PackedFor — compare revisions to invalidate.
-  uint64_t value_revision = 0;
   std::vector<std::shared_ptr<Node>> parents;
   /// Propagates this node's grad into its parents' grads. May be empty for
   /// leaves.
@@ -50,12 +44,7 @@ class Var {
 
   bool defined() const { return node_ != nullptr; }
   const Tensor& value() const { return node_->value; }
-  /// Mutable access conservatively counts as a mutation (see
-  /// Node::value_revision).
-  Tensor& mutable_value() {
-    ++node_->value_revision;
-    return node_->value;
-  }
+  Tensor& mutable_value() { return node_->value; }
   const Tensor& grad() const { return node_->grad; }
   bool requires_grad() const { return node_ && node_->requires_grad; }
 

@@ -90,8 +90,6 @@ std::vector<std::vector<int>> Transformer::BeamDecodeBatch(
   std::vector<std::vector<int>> out(input_ids.size());
   if (num_prompts == 0 || max_steps <= 0) return out;
   const int width = std::max(1, beam_size);
-  // One provider for the whole decode (see GenerateBatch).
-  const KernelProvider& kp = ActiveKernelProvider();
 
   // Deduplicate prompts: identical token sequences (e.g. repeated trials of
   // one context) share a single encoder pass and cross-attention projection.
@@ -115,7 +113,6 @@ std::vector<std::vector<int>> Transformer::BeamDecodeBatch(
     span.Arg("prompts", static_cast<int64_t>(num_prompts));
     span.Arg("uniq", static_cast<int64_t>(uniq_prompts.size()));
     span.Arg("width", static_cast<int64_t>(width));
-    span.Arg("provider", kp.name());
   }
 
   PaddedBatch enc = PaddedBatch::Pack(uniq_prompts);
@@ -136,8 +133,8 @@ std::vector<std::vector<int>> Transformer::BeamDecodeBatch(
       layers[l].self_v[buf] = Tensor({slots, cap, d});
     }
     const MultiHeadAttention& cross = decoder_[l]->cross_attn();
-    AffineRows(kp, memory, cross.wk(), &layers[l].cross_k);
-    AffineRows(kp, memory, cross.wv(), &layers[l].cross_v);
+    AffineRows(memory, cross.wk(), &layers[l].cross_k);
+    AffineRows(memory, cross.wv(), &layers[l].cross_v);
   }
   int front = 0;  // index of the buffer holding the live caches
 
@@ -209,9 +206,9 @@ std::vector<std::vector<int>> Transformer::BeamDecodeBatch(
       Tensor& self_v = state.self_v[front];
       // Self-attention over the cached prefix (positions 0..step).
       LayerNormRows(x, layer.ln1(), &n);
-      AffineRows(kp, n, layer.self_attn().wq(), &q);
-      AffineRows(kp, n, layer.self_attn().wk(), &k);
-      AffineRows(kp, n, layer.self_attn().wv(), &v);
+      AffineRows(n, layer.self_attn().wq(), &q);
+      AffineRows(n, layer.self_attn().wk(), &k);
+      AffineRows(n, layer.self_attn().wv(), &v);
       for (int r = 0; r < rows; ++r) {
         float* kdst = self_k.data() + self_bases[static_cast<size_t>(r)] +
                       static_cast<size_t>(step) * d;
@@ -224,31 +221,31 @@ std::vector<std::vector<int>> Transformer::BeamDecodeBatch(
       }
       AttendRows(q, layer.self_attn(), self_k.data(), self_v.data(),
                  self_bases, self_lens, &ctx, &scores_buf);
-      AffineRows(kp, ctx, layer.self_attn().wo(), &attn_out);
+      AffineRows(ctx, layer.self_attn().wo(), &attn_out);
       h1 = x;
       h1.AddInPlace(attn_out);
       // Cross-attention over the shared encoder memory of this prompt.
       LayerNormRows(h1, layer.ln2(), &n);
-      AffineRows(kp, n, layer.cross_attn().wq(), &q);
+      AffineRows(n, layer.cross_attn().wq(), &q);
       AttendRows(q, layer.cross_attn(), state.cross_k.data(),
                  state.cross_v.data(), cross_bases, cross_lens, &ctx,
                  &scores_buf);
-      AffineRows(kp, ctx, layer.cross_attn().wo(), &attn_out);
+      AffineRows(ctx, layer.cross_attn().wo(), &attn_out);
       h2 = h1;
       h2.AddInPlace(attn_out);
       // Position-wise feed-forward.
       LayerNormRows(h2, layer.ln3(), &n);
-      AffineRows(kp, n, layer.ff().in_linear(), &ff_mid);
+      AffineRows(n, layer.ff().in_linear(), &ff_mid);
       for (size_t i = 0; i < ff_mid.size(); ++i) {
         if (ff_mid.data()[i] < 0.0f) ff_mid.data()[i] = 0.0f;
       }
-      AffineRows(kp, ff_mid, layer.ff().out_linear(), &ff_out);
+      AffineRows(ff_mid, layer.ff().out_linear(), &ff_out);
       x = h2;
       x.AddInPlace(ff_out);
     }
 
     LayerNormRows(x, final_ln_, &n);
-    AffineRows(kp, n, lm_head_, &logits);  // [rows, V]
+    AffineRows(n, lm_head_, &logits);  // [rows, V]
     const int vocab = logits.cols();
 
     // Per-prompt expansion + prune, replicating the legacy BeamDecode

@@ -59,7 +59,7 @@ std::unique_ptr<DecodeSession> Transformer::NewDecodeSession(
 
 DecodeSession::DecodeSession(const Transformer* model,
                              DecodeSessionOptions options)
-    : model_(model), options_(options), kp_(&ActiveKernelProvider()) {
+    : model_(model), options_(options) {
   const TransformerConfig& cfg = model_->cfg_;
   max_slots_ = std::max(1, options_.max_slots);
   options_.max_steps = std::max(1, options_.max_steps);
@@ -154,8 +154,8 @@ std::vector<int> DecodeSession::Admit(const std::vector<Admission>& group) {
   Tensor proj_k, proj_v;
   for (size_t l = 0; l < layers_.size(); ++l) {
     const MultiHeadAttention& cross = model_->decoder_[l]->cross_attn();
-    AffineRows(*kp_, memory, cross.wk(), &proj_k);
-    AffineRows(*kp_, memory, cross.wv(), &proj_v);
+    AffineRows(memory, cross.wk(), &proj_k);
+    AffineRows(memory, cross.wv(), &proj_v);
     LayerState& layer = layers_[l];
     for (size_t g = 0; g < group.size(); ++g) {
       const size_t valid =
@@ -228,9 +228,9 @@ std::vector<int> DecodeSession::Step() {
     LayerState& state = layers_[l];
     // Self-attention over each slot's cached prefix.
     LayerNormRows(x_, layer.ln1(), &n_);
-    AffineRows(*kp_, n_, layer.self_attn().wq(), &q_);
-    AffineRows(*kp_, n_, layer.self_attn().wk(), &k_);
-    AffineRows(*kp_, n_, layer.self_attn().wv(), &v_);
+    AffineRows(n_, layer.self_attn().wq(), &q_);
+    AffineRows(n_, layer.self_attn().wk(), &k_);
+    AffineRows(n_, layer.self_attn().wv(), &v_);
     for (int r = 0; r < rows; ++r) {
       const Slot& slot =
           slots_[static_cast<size_t>(live_[static_cast<size_t>(r)])];
@@ -245,31 +245,31 @@ std::vector<int> DecodeSession::Step() {
     }
     AttendRows(q_, layer.self_attn(), state.self_k.data(), state.self_v.data(),
                self_bases_, self_lens_, &ctx_, &scores_buf_);
-    AffineRows(*kp_, ctx_, layer.self_attn().wo(), &attn_out_);
+    AffineRows(ctx_, layer.self_attn().wo(), &attn_out_);
     h1_ = x_;
     h1_.AddInPlace(attn_out_);
     // Cross-attention over the slot's valid encoder memory rows.
     LayerNormRows(h1_, layer.ln2(), &n_);
-    AffineRows(*kp_, n_, layer.cross_attn().wq(), &q_);
+    AffineRows(n_, layer.cross_attn().wq(), &q_);
     AttendRows(q_, layer.cross_attn(), state.cross_k.data(),
                state.cross_v.data(), cross_bases_, cross_lens_, &ctx_,
                &scores_buf_);
-    AffineRows(*kp_, ctx_, layer.cross_attn().wo(), &attn_out_);
+    AffineRows(ctx_, layer.cross_attn().wo(), &attn_out_);
     h2_ = h1_;
     h2_.AddInPlace(attn_out_);
     // Position-wise feed-forward.
     LayerNormRows(h2_, layer.ln3(), &n_);
-    AffineRows(*kp_, n_, layer.ff().in_linear(), &ff_mid_);
+    AffineRows(n_, layer.ff().in_linear(), &ff_mid_);
     for (size_t i = 0; i < ff_mid_.size(); ++i) {
       if (ff_mid_.data()[i] < 0.0f) ff_mid_.data()[i] = 0.0f;
     }
-    AffineRows(*kp_, ff_mid_, layer.ff().out_linear(), &ff_out_);
+    AffineRows(ff_mid_, layer.ff().out_linear(), &ff_out_);
     x_ = h2_;
     x_.AddInPlace(ff_out_);
   }
 
   LayerNormRows(x_, model_->final_ln_, &n_);
-  AffineRows(*kp_, n_, model_->lm_head_, &logits_);  // [rows, V]
+  AffineRows(n_, model_->lm_head_, &logits_);  // [rows, V]
   for (int r = 0; r < rows; ++r) {
     const int handle = live_[static_cast<size_t>(r)];
     Slot& slot = slots_[static_cast<size_t>(handle)];

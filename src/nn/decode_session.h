@@ -10,7 +10,6 @@
 namespace dtt {
 namespace nn {
 
-class KernelProvider;
 class Transformer;
 
 /// Session construction knobs (see Transformer::NewDecodeSession).
@@ -58,10 +57,7 @@ struct DecodeSessionStats {
 /// on its own prompt and budget — never on which other sequences share the
 /// batch or when they were admitted. For any admission/eviction schedule the
 /// per-sequence outputs are bit-identical to GreedyDecode / GenerateBatch
-/// under a row-order-preserving kernel provider (scalar, vec_f32; enforced
-/// by nn_decode_session_test). int8 quantizes activations per-tensor across
-/// the resident batch and trades this identity for throughput, exactly as it
-/// does for GenerateBatch.
+/// (enforced by nn_decode_session_test).
 ///
 /// Not thread-safe: one session belongs to one decode thread (the serve
 /// layer gives each continuous backend its own).
@@ -139,7 +135,6 @@ class DecodeSession {
 
   const Transformer* model_;
   DecodeSessionOptions options_;
-  const KernelProvider* kp_;  // resolved once; the session never mixes kernels
   int max_slots_ = 0;
   int cap_ = 0;      // self-cache positions per slot
   int mem_cap_ = 0;  // cross-cache rows per slot (the model's max_len)

@@ -7,21 +7,22 @@ namespace dtt {
 namespace nn {
 namespace internal {
 
-// These three loops are the *scalar oracle*: their accumulation order
-// defines bit-exact correctness for every other kernel provider
-// (nn/kernel_provider.h). The contract has two parts:
+// The only GEMM kernels in the system: autograd MatMul (nn/ops.cc) and the
+// graph-free decode engines (AffineRows, nn/infer_internal.h) call them
+// directly. Their accumulation order is the bit-exactness contract every
+// engine parity test and pinned decode golden relies on:
 //
-//  1. Per output element, partial products are added in ascending-p order,
-//     resuming from the element's existing value.
+//  1. Per output element, partial products are added in ascending-p order.
+//     GemmAcc and GemmAtAcc resume from the element's existing value;
+//     GemmBtAcc sums a fresh dot product and adds it to the element once.
 //  2. Terms whose A operand is an exact fp32 zero are skipped. The skip is
-//     load-bearing for locality (padded batch rows and masked-out softmax
+//     load-bearing for speed (padded batch rows and masked-out softmax
 //     scores are exact zeros by construction — see the Softmax/PaddedBatch
-//     notes in nn/ops.cc) and is part of the oracle's definition: for
-//     finite inputs, skipping `c += 0.0f * b` is bitwise-neutral, so
-//     branch-free providers (vec_f32) still match bit-for-bit. Future
-//     providers must not "fix" the asymmetry the other way — introducing a
-//     skip that changes accumulation order, or relying on the skip for
-//     non-finite operands.
+//     notes in nn/ops.cc), but never for values: for finite inputs and
+//     accumulators that are not -0.0, skipping `c += 0.0f * b` is bitwise
+//     neutral. nn_gemm_test pins both parts against naive loops with no
+//     skip. A faster kernel must keep this order; reassociating one
+//     element's sum changes output bits.
 
 /// C += A * B for row-major [m,k] x [k,n]; ikj ordering for locality.
 /// Shared by the autograd MatMul op and the raw inference engine so both

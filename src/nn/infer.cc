@@ -64,9 +64,6 @@ std::vector<std::vector<int>> Transformer::GenerateBatch(
   if (batch == 0 || max_steps <= 0) {
     return std::vector<std::vector<int>>(input_ids.size());
   }
-  // One provider for the whole decode: resolved here so a concurrent
-  // SetActiveKernelProvider cannot mix kernels mid-sequence.
-  const KernelProvider& kp = ActiveKernelProvider();
   const DecodeMetrics& metrics = DecodeMetrics::Get();
   metrics.calls->Increment();
   metrics.rows->Add(batch);
@@ -75,7 +72,6 @@ std::vector<std::vector<int>> Transformer::GenerateBatch(
   if (span.enabled()) {
     span.Arg("batch", static_cast<int64_t>(batch));
     span.Arg("max_steps", static_cast<int64_t>(max_steps));
-    span.Arg("provider", kp.name());
   }
   // The encoder runs once; the (batched, length-masked) autograd path is
   // fine for a single pass — only its value tensor is kept.
@@ -92,8 +88,8 @@ std::vector<std::vector<int>> Transformer::GenerateBatch(
     layers[l].self_k = Tensor({batch, cap, d});
     layers[l].self_v = Tensor({batch, cap, d});
     const MultiHeadAttention& cross = decoder_[l]->cross_attn();
-    AffineRows(kp, memory, cross.wk(), &layers[l].cross_k);
-    AffineRows(kp, memory, cross.wv(), &layers[l].cross_v);
+    AffineRows(memory, cross.wk(), &layers[l].cross_k);
+    AffineRows(memory, cross.wv(), &layers[l].cross_v);
   }
 
   // Every sequence owns one fixed cache slot, so the per-row base offsets
@@ -143,9 +139,9 @@ std::vector<std::vector<int>> Transformer::GenerateBatch(
       LayerState& state = layers[l];
       // Self-attention over the cached prefix (positions 0..step).
       LayerNormRows(x, layer.ln1(), &n);
-      AffineRows(kp, n, layer.self_attn().wq(), &q);
-      AffineRows(kp, n, layer.self_attn().wk(), &k);
-      AffineRows(kp, n, layer.self_attn().wv(), &v);
+      AffineRows(n, layer.self_attn().wq(), &q);
+      AffineRows(n, layer.self_attn().wk(), &k);
+      AffineRows(n, layer.self_attn().wv(), &v);
       for (int b = 0; b < batch; ++b) {
         float* kdst = state.self_k.data() + b * self_stride +
                       static_cast<size_t>(step) * d;
@@ -161,31 +157,31 @@ std::vector<std::vector<int>> Transformer::GenerateBatch(
       AttendRows(q, layer.self_attn(), state.self_k.data(),
                  state.self_v.data(), self_bases, self_lens, &ctx,
                  &scores_buf);
-      AffineRows(kp, ctx, layer.self_attn().wo(), &attn_out);
+      AffineRows(ctx, layer.self_attn().wo(), &attn_out);
       h1 = x;
       h1.AddInPlace(attn_out);
       // Cross-attention over the valid encoder memory rows.
       LayerNormRows(h1, layer.ln2(), &n);
-      AffineRows(kp, n, layer.cross_attn().wq(), &q);
+      AffineRows(n, layer.cross_attn().wq(), &q);
       AttendRows(q, layer.cross_attn(), state.cross_k.data(),
                  state.cross_v.data(), cross_bases, enc.lengths, &ctx,
                  &scores_buf);
-      AffineRows(kp, ctx, layer.cross_attn().wo(), &attn_out);
+      AffineRows(ctx, layer.cross_attn().wo(), &attn_out);
       h2 = h1;
       h2.AddInPlace(attn_out);
       // Position-wise feed-forward.
       LayerNormRows(h2, layer.ln3(), &n);
-      AffineRows(kp, n, layer.ff().in_linear(), &ff_mid);
+      AffineRows(n, layer.ff().in_linear(), &ff_mid);
       for (size_t i = 0; i < ff_mid.size(); ++i) {
         if (ff_mid.data()[i] < 0.0f) ff_mid.data()[i] = 0.0f;
       }
-      AffineRows(kp, ff_mid, layer.ff().out_linear(), &ff_out);
+      AffineRows(ff_mid, layer.ff().out_linear(), &ff_out);
       x = h2;
       x.AddInPlace(ff_out);
     }
 
     LayerNormRows(x, final_ln_, &n);
-    AffineRows(kp, n, lm_head_, &logits);  // [B, V]
+    AffineRows(n, lm_head_, &logits);  // [B, V]
     bool all_done = true;
     for (int b = 0; b < batch; ++b) {
       if (done[static_cast<size_t>(b)]) {

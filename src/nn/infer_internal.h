@@ -1,27 +1,24 @@
 #ifndef DTT_NN_INFER_INTERNAL_H_
 #define DTT_NN_INFER_INTERNAL_H_
 
-// Shared row-wise kernels of the graph-free incremental decoder, used by both
-// the greedy engine (nn/infer.cc, Transformer::GenerateBatch) and the beam
-// engine (nn/beam.cc, Transformer::BeamDecodeBatch).
+// Shared row-wise kernels of the graph-free incremental decoder, used by the
+// greedy engine (nn/infer.cc, Transformer::GenerateBatch), the beam engine
+// (nn/beam.cc, Transformer::BeamDecodeBatch) and the step-resumable decoder
+// (nn/decode_session.cc, DecodeSession).
 //
 // Every kernel mirrors its autograd counterpart operation-for-operation —
-// same GEMM kernels (via the active KernelProvider, nn/kernel_provider.h),
-// same accumulation order, same normalization order — so logits produced
-// through this path are bit-identical to the autograd DecodeLogits path
-// whenever the provider honors the scalar oracle's accumulation order
-// (scalar and vec_f32 do; int8 trades the identity for throughput and is
-// gated end-to-end instead). That identity is what lets the beam engine be
+// same GEMM kernels (nn/gemm.h), same accumulation order, same normalization
+// order — so logits produced through this path are bit-identical to the
+// autograd DecodeLogits path. That identity is what lets the beam engine be
 // checked bit-for-bit against the per-prompt BeamDecode reference.
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "nn/attention.h"
-#include "nn/kernel_provider.h"
+#include "nn/gemm.h"
 #include "nn/layers.h"
 #include "nn/tensor.h"
 
@@ -30,12 +27,8 @@ namespace nn {
 namespace internal {
 
 /// out[rows, out_dim] = x[rows, in_dim] @ W + b, matching Linear::Forward
-/// (full GEMM first, bias added after). Routed through `kp` — the engines
-/// resolve ActiveKernelProvider() once per decode call and thread it here,
-/// so one decode never mixes providers. Packed weights (int8) come from the
-/// layer's revision-checked cache.
-inline void AffineRows(const KernelProvider& kp, const Tensor& x,
-                       const Linear& lin, Tensor* out) {
+/// (full GEMM into a zero-filled output first, bias added after).
+inline void AffineRows(const Tensor& x, const Linear& lin, Tensor* out) {
   const int rows = x.rows();
   const int in_dim = x.cols();
   const Tensor& w = lin.weight_value();
@@ -43,9 +36,12 @@ inline void AffineRows(const KernelProvider& kp, const Tensor& x,
   const int out_dim = w.cols();
   assert(w.rows() == in_dim);
   *out = Tensor({rows, out_dim});
-  const std::shared_ptr<PackedWeights> packed = lin.PackedFor(kp);
-  kp.Affine(x.data(), rows, in_dim, w.data(), b.data(), out_dim,
-            packed.get(), out->data());
+  GemmAcc(x.data(), w.data(), out->data(), rows, in_dim, out_dim);
+  const float* bias = b.data();
+  for (int i = 0; i < rows; ++i) {
+    float* row = out->data() + static_cast<size_t>(i) * out_dim;
+    for (int j = 0; j < out_dim; ++j) row[j] += bias[j];
+  }
 }
 
 /// Row-wise layer norm matching LayerNormOp.

@@ -1,46 +1,13 @@
 #include "nn/layers.h"
 
 #include <cmath>
-#include <mutex>
-
-#include "nn/kernel_provider.h"
 
 namespace dtt {
 namespace nn {
 
-namespace internal {
-
-/// One provider's packed form of a Linear weight, keyed by the provider
-/// identity and the weight's value revision at build time.
-struct PackedWeightCache {
-  std::mutex mu;
-  const KernelProvider* provider = nullptr;
-  uint64_t revision = 0;
-  std::shared_ptr<PackedWeights> packed;
-};
-
-}  // namespace internal
-
 Linear::Linear(int in_dim, int out_dim, Rng* rng)
     : weight_(Var::XavierParam(in_dim, out_dim, rng)),
-      bias_(Var::Leaf(Tensor({out_dim}), /*requires_grad=*/true)),
-      packed_cache_(std::make_shared<internal::PackedWeightCache>()) {}
-
-std::shared_ptr<PackedWeights> Linear::PackedFor(
-    const KernelProvider& provider) const {
-  if (!provider.uses_packed_weights()) return nullptr;
-  const uint64_t revision = weight_.node()->value_revision;
-  internal::PackedWeightCache& cache = *packed_cache_;
-  std::lock_guard<std::mutex> lock(cache.mu);
-  if (cache.provider != &provider || cache.revision != revision ||
-      cache.packed == nullptr) {
-    const Tensor& w = weight_.value();
-    cache.packed = provider.Prepare(w.data(), w.rows(), w.cols());
-    cache.provider = &provider;
-    cache.revision = revision;
-  }
-  return cache.packed;
-}
+      bias_(Var::Leaf(Tensor({out_dim}), /*requires_grad=*/true)) {}
 
 Var Linear::Forward(const Var& x) const {
   return AddRowBroadcast(MatMul(x, weight_), bias_);

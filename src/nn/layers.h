@@ -1,7 +1,6 @@
 #ifndef DTT_NN_LAYERS_H_
 #define DTT_NN_LAYERS_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -9,13 +8,6 @@
 
 namespace dtt {
 namespace nn {
-
-class KernelProvider;
-class PackedWeights;
-
-namespace internal {
-struct PackedWeightCache;  // defined in layers.cc
-}  // namespace internal
 
 /// A named trainable parameter handle, for the optimizer and checkpoints.
 struct NamedParam {
@@ -48,19 +40,9 @@ class Linear : public Module {
   const Tensor& weight_value() const { return weight_.value(); }
   const Tensor& bias_value() const { return bias_.value(); }
 
-  /// This layer's weight in `provider`'s packed form (nullptr for providers
-  /// without one, e.g. scalar/vec_f32). Built lazily on first use and
-  /// rebuilt when the provider changes or an optimizer step / checkpoint
-  /// load mutates the weight (tracked via Node::value_revision). Thread-safe
-  /// — concurrent decode workers share one build under a mutex.
-  std::shared_ptr<PackedWeights> PackedFor(const KernelProvider& provider) const;
-
  private:
   Var weight_;  // [in,out]
   Var bias_;    // [out]
-  // shared_ptr so Linear stays copyable; copies share the cache, which is
-  // correct because they share the underlying weight node too.
-  std::shared_ptr<internal::PackedWeightCache> packed_cache_;
 };
 
 /// Token embedding table [V,D].

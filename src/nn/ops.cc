@@ -3,10 +3,14 @@
 #include <cassert>
 #include <cmath>
 
-#include "nn/kernel_provider.h"
+#include "nn/gemm.h"
 
 namespace dtt {
 namespace nn {
+
+using internal::GemmAcc;
+using internal::GemmAtAcc;
+using internal::GemmBtAcc;
 
 Var MatMul(const Var& a, const Var& b) {
   assert(a.value().rank() == 2 && b.value().rank() == 2);
@@ -15,23 +19,17 @@ Var MatMul(const Var& a, const Var& b) {
   const int n = b.value().cols();
   assert(b.value().rows() == k);
   Tensor out({m, n});
-  // Forward and backward use the provider resolved at forward time (the
-  // singletons live for the process, so capturing the pointer is safe): a
-  // provider switch between a loss forward and its Backward() must not mix
-  // kernels within one op.
-  const KernelProvider* kp = &ActiveKernelProvider();
-  kp->GemmAcc(a.value().data(), b.value().data(), out.data(), m, k, n);
+  GemmAcc(a.value().data(), b.value().data(), out.data(), m, k, n);
   Var av = a, bv = b;
-  return MakeOpNode(std::move(out), {a, b},
-                    [av, bv, m, k, n, kp](Node* self) {
+  return MakeOpNode(std::move(out), {a, b}, [av, bv, m, k, n](Node* self) {
     if (av.node()->requires_grad) {
       Tensor da({m, k});
-      kp->GemmBtAcc(self->grad.data(), bv.value().data(), da.data(), m, n, k);
+      GemmBtAcc(self->grad.data(), bv.value().data(), da.data(), m, n, k);
       av.node()->AccumulateGrad(da);
     }
     if (bv.node()->requires_grad) {
       Tensor db({k, n});
-      kp->GemmAtAcc(av.value().data(), self->grad.data(), db.data(), m, k, n);
+      GemmAtAcc(av.value().data(), self->grad.data(), db.data(), m, k, n);
       bv.node()->AccumulateGrad(db);
     }
   });

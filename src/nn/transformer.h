@@ -158,8 +158,8 @@ class Transformer : public Module {
   /// Creates a step-resumable greedy decode session over this model: a
   /// persistent slotted KV-cache batch that sequences enter and leave
   /// mid-decode (continuous batching). Per-sequence outputs are bit-exact
-  /// with GreedyDecode/GenerateBatch for every admission schedule under a
-  /// row-order-preserving kernel provider; see nn/decode_session.h.
+  /// with GreedyDecode/GenerateBatch for every admission schedule; see
+  /// nn/decode_session.h.
   std::unique_ptr<DecodeSession> NewDecodeSession(
       DecodeSessionOptions options = {}) const;
 

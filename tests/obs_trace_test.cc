@@ -458,7 +458,6 @@ TEST_F(ObsTraceTest, TracedDecodeIsBitExactWithUntraced) {
     if (name == "nn.generate_batch") {
       ++generate;
       EXPECT_EQ(e.at("args").at("batch").number, 3.0);
-      EXPECT_FALSE(e.at("args").at("provider").str.empty());
     }
     if (name == "nn.generate_step") ++generate_steps;
     if (name == "nn.beam_batch") {
