@@ -23,6 +23,19 @@
 #include "util/edit_distance.h"
 
 namespace dtt {
+namespace nn {
+
+// Access to the private graph-free encoder.
+struct TransformerPeer {
+  static Tensor EncodeRows(const Transformer& model,
+                           const std::vector<std::vector<int>>& prompts,
+                           std::vector<int>* offsets) {
+    return model.EncodeRows(prompts, offsets);
+  }
+};
+
+}  // namespace nn
+
 namespace {
 
 std::string MakeString(size_t len, uint64_t seed) {
@@ -215,6 +228,54 @@ void BM_GenerateBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_GenerateBatch)->Arg(1)->Arg(8);
+
+// The inference encoder at the perfbench model shape (three encoder layers)
+// over `count` distinct prompts of 140-159 tokens, about one serialized DTT
+// prompt each.
+nn::TransformerConfig EncoderBenchConfig() {
+  nn::TransformerConfig cfg = BenchConfig();
+  cfg.encoder_layers = 3;
+  return cfg;
+}
+
+std::vector<std::vector<int>> EncoderBenchPrompts(int count) {
+  Rng rng(17);
+  std::vector<std::vector<int>> prompts(static_cast<size_t>(count));
+  for (auto& p : prompts) {
+    p.resize(140 + rng.NextBounded(20));
+    for (auto& id : p) {
+      id = Vocab::ByteToken(static_cast<uint8_t>(rng.NextBounded(256)));
+    }
+  }
+  return prompts;
+}
+
+// The graph-free, unpadded encoder every decode engine runs.
+void BM_EncodeRows(benchmark::State& state) {
+  Rng rng(18);
+  nn::Transformer model(EncoderBenchConfig(), &rng);
+  const auto prompts = EncoderBenchPrompts(static_cast<int>(state.range(0)));
+  std::vector<int> offsets;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        nn::TransformerPeer::EncodeRows(model, prompts, &offsets));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_EncodeRows)->Arg(1)->Arg(8);
+
+// The autograd, padded reference encoder over the same prompts.
+void BM_EncodeBatch(benchmark::State& state) {
+  Rng rng(18);
+  nn::Transformer model(EncoderBenchConfig(), &rng);
+  const auto prompts = EncoderBenchPrompts(static_cast<int>(state.range(0)));
+  const nn::PaddedBatch batch = nn::PaddedBatch::Pack(prompts);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.EncodeBatch(batch));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_EncodeBatch)->Arg(1)->Arg(8);
 
 // Distinct prompts for the beam benchmarks: identical ones would collapse
 // onto one encoder pass via the engine's prompt dedup and overstate the win.

@@ -60,8 +60,8 @@ struct Hyp {
 struct BeamLayerState {
   Tensor self_k[2];  // [slots, cap, D]
   Tensor self_v[2];  // [slots, cap, D]
-  Tensor cross_k;    // [U*Tm, D]
-  Tensor cross_v;    // [U*Tm, D]
+  Tensor cross_k;    // [sum of unique prompt lengths, D]
+  Tensor cross_v;    // [sum of unique prompt lengths, D]
 };
 
 // Process-wide beam-decode counters, resolved once (see infer.cc).
@@ -115,9 +115,8 @@ std::vector<std::vector<int>> Transformer::BeamDecodeBatch(
     span.Arg("width", static_cast<int64_t>(width));
   }
 
-  PaddedBatch enc = PaddedBatch::Pack(uniq_prompts);
-  Tensor memory = EncodeBatch(enc).value();  // [U*Tm, D]
-  const int mem_len = enc.padded_len;
+  std::vector<int> offsets;
+  const Tensor memory = EncodeRows(uniq_prompts, &offsets);
   const int d = cfg_.dim;
 
   // A hypothesis at step s has prefix length s+1, so position s must stay
@@ -186,12 +185,11 @@ std::vector<std::vector<int>> Transformer::BeamDecodeBatch(
           r)])][static_cast<size_t>(row_hyp[static_cast<size_t>(r)])];
       self_bases[static_cast<size_t>(r)] =
           static_cast<size_t>(hyp.slot) * self_stride;
-      const int u = prompt_uniq[static_cast<size_t>(
-          row_prompt[static_cast<size_t>(r)])];
+      const size_t u = static_cast<size_t>(
+          prompt_uniq[static_cast<size_t>(row_prompt[static_cast<size_t>(r)])]);
       cross_bases[static_cast<size_t>(r)] =
-          static_cast<size_t>(u) * mem_len * static_cast<size_t>(d);
-      cross_lens[static_cast<size_t>(r)] =
-          enc.lengths[static_cast<size_t>(u)];
+          static_cast<size_t>(offsets[u]) * d;
+      cross_lens[static_cast<size_t>(r)] = offsets[u + 1] - offsets[u];
       // Embed the hypothesis's newest token at position `step`.
       const float* erow =
           embed.data() + static_cast<size_t>(hyp.ids.back()) * d;

@@ -113,8 +113,8 @@ std::vector<int> DecodeSession::Admit(const std::vector<Admission>& group) {
     span.Arg("active", static_cast<int64_t>(active_));
   }
 
-  // One shared padded encoder pass over the whole admission group — the
-  // exact encoder GenerateBatch runs, so each sequence's valid memory rows
+  // One shared encoder pass over the whole admission group, packed without
+  // padding — the encoder GenerateBatch runs, so each sequence's memory rows
   // are bit-identical however the group is composed.
   std::vector<std::vector<int>> inputs;
   inputs.reserve(group.size());
@@ -122,12 +122,11 @@ std::vector<int> DecodeSession::Admit(const std::vector<Admission>& group) {
     assert(static_cast<int>(adm.input_ids.size()) <= mem_cap_);
     inputs.push_back(adm.input_ids);
   }
-  PaddedBatch enc = PaddedBatch::Pack(inputs);
-  Tensor memory = model_->EncodeBatch(enc).value();  // [G*Tm, D]
-  const int mem_len = enc.padded_len;
+  std::vector<int> offsets;
+  const Tensor memory = model_->EncodeRows(inputs, &offsets);
 
-  // Project the group's cross-attention K/V once per layer, then scatter
-  // each sequence's valid rows into its slot's cache region.
+  // Project the group's cross-attention K/V once per layer, then copy each
+  // sequence's rows into its slot's cache region.
   handles.reserve(group.size());
   std::vector<int> phys_rows;
   phys_rows.reserve(group.size());
@@ -140,7 +139,7 @@ std::vector<int> DecodeSession::Admit(const std::vector<Admission>& group) {
     slot.in_use = true;
     slot.done = false;
     slot.phys = phys;
-    slot.mem_len = enc.lengths[g];
+    slot.mem_len = offsets[g + 1] - offsets[g];
     slot.fed = 0;
     slot.budget = group[g].max_steps > 0
                       ? std::min(group[g].max_steps, options_.max_steps)
@@ -158,11 +157,10 @@ std::vector<int> DecodeSession::Admit(const std::vector<Admission>& group) {
     AffineRows(memory, cross.wv(), &proj_v);
     LayerState& layer = layers_[l];
     for (size_t g = 0; g < group.size(); ++g) {
-      const size_t valid =
-          static_cast<size_t>(enc.lengths[g]) * static_cast<size_t>(d_);
-      const size_t src = static_cast<size_t>(g) *
-                         static_cast<size_t>(mem_len) *
-                         static_cast<size_t>(d_);
+      const size_t valid = static_cast<size_t>(offsets[g + 1] - offsets[g]) *
+                           static_cast<size_t>(d_);
+      const size_t src =
+          static_cast<size_t>(offsets[g]) * static_cast<size_t>(d_);
       const size_t dst = static_cast<size_t>(phys_rows[g]) *
                          static_cast<size_t>(mem_cap_) *
                          static_cast<size_t>(d_);

@@ -40,7 +40,7 @@ struct DecodeSessionStats {
 /// once-projected cross-attention K/V of each sequence's encoder memory —
 /// and exposes the decode step loop:
 ///
-///   * Admit() encodes a group of prompts in one padded EncodeBatch pass
+///   * Admit() encodes a group of prompts in one unpadded EncodeRows pass
 ///     (exactly GenerateBatch's encoder) and installs each sequence in a
 ///     free slot with its own decode-step budget;
 ///   * Step() advances every live sequence one token in lockstep, whatever
@@ -74,7 +74,7 @@ class DecodeSession {
   DecodeSession(const DecodeSession&) = delete;
   DecodeSession& operator=(const DecodeSession&) = delete;
 
-  /// Admits `group` into free slots through one shared padded encoder pass.
+  /// Admits `group` into free slots through one shared encoder pass.
   /// Returns one stable slot handle per admission, in order. Requires
   /// group.size() <= free_slots() and every prompt within the model's input
   /// length limit (callers validate; violations abort in debug builds).

@@ -1,7 +1,9 @@
-// The graph-free batched inference engine behind Transformer::GenerateBatch.
+// The graph-free inference encoder (Transformer::EncodeRows) and the batched
+// greedy engine behind Transformer::GenerateBatch.
 //
-// Greedy decoding needs no gradients, so this path skips autograd entirely
-// and decodes incrementally: each step feeds only the newly generated token
+// Inference needs no gradients, so this path skips autograd entirely. The
+// encoder runs over the prompts packed without padding; the decoder runs
+// incrementally: each step feeds only the newly generated token
 // through the decoder, attending over per-layer key/value caches (self-
 // attention) and the once-projected encoder memory (cross-attention). The
 // row-wise kernels live in nn/infer_internal.h (shared with the beam engine
@@ -27,6 +29,7 @@ namespace {
 
 using internal::AffineRows;
 using internal::AttendRows;
+using internal::AttendSequences;
 using internal::LayerNormRows;
 
 // One decoder layer's incremental state: self-attention K/V per generated
@@ -34,8 +37,8 @@ using internal::LayerNormRows;
 struct LayerState {
   Tensor self_k;   // [B, cap, D]
   Tensor self_v;   // [B, cap, D]
-  Tensor cross_k;  // [B*Tm, D]
-  Tensor cross_v;  // [B*Tm, D]
+  Tensor cross_k;  // [sum of prompt lengths, D]
+  Tensor cross_v;  // [sum of prompt lengths, D]
 };
 
 // Process-wide decode counters/histograms, resolved once. Purely
@@ -58,6 +61,59 @@ struct DecodeMetrics {
 
 }  // namespace
 
+// Each step mirrors EncoderLayer::Forward op for op. Packing without padding
+// is exact: in EncodeBatch a padded key gets -1e9 added, so its softmax
+// weight is exactly 0.0f — it adds +0 to the softmax sum and is skipped by
+// the value GEMM — and every valid row comes out the same bits as here.
+Tensor Transformer::EncodeRows(const std::vector<std::vector<int>>& prompts,
+                               std::vector<int>* offsets) const {
+  offsets->assign(1, 0);
+  for (const std::vector<int>& ids : prompts) {
+    assert(static_cast<int>(ids.size()) <= cfg_.max_len);
+    offsets->push_back(offsets->back() + static_cast<int>(ids.size()));
+  }
+  const int rows = offsets->back();
+  obs::TraceSpan span("nn", "nn.encode");
+  if (span.enabled()) {
+    span.Arg("prompts", static_cast<int64_t>(prompts.size()));
+    span.Arg("tokens", static_cast<int64_t>(rows));
+  }
+  const int d = cfg_.dim;
+  // Token embedding plus the sinusoidal position within each prompt.
+  Tensor x({rows, d});
+  const Tensor& embed = embedding_.weight_value();
+  for (size_t b = 0; b < prompts.size(); ++b) {
+    float* xrow = x.data() + static_cast<size_t>((*offsets)[b]) * d;
+    for (size_t i = 0; i < prompts[b].size(); ++i, xrow += d) {
+      const float* erow =
+          embed.data() + static_cast<size_t>(prompts[b][i]) * d;
+      for (int j = 0; j < d; ++j) {
+        xrow[j] = erow[j] + positions_.at(static_cast<int>(i), j);
+      }
+    }
+  }
+  Tensor n, q, k, v, ctx, attn_out, ff_mid, ff_out;
+  std::vector<float> scratch;
+  for (const auto& layer : encoder_) {
+    const MultiHeadAttention& attn = layer->self_attn();
+    LayerNormRows(x, layer->ln1(), &n);
+    AffineRows(n, attn.wq(), &q);
+    AffineRows(n, attn.wk(), &k);
+    AffineRows(n, attn.wv(), &v);
+    AttendSequences(q, k, v, attn, *offsets, &ctx, &scratch);
+    AffineRows(ctx, attn.wo(), &attn_out);
+    x.AddInPlace(attn_out);
+    LayerNormRows(x, layer->ln2(), &n);
+    AffineRows(n, layer->ff().in_linear(), &ff_mid);
+    for (size_t i = 0; i < ff_mid.size(); ++i) {
+      if (ff_mid.data()[i] < 0.0f) ff_mid.data()[i] = 0.0f;
+    }
+    AffineRows(ff_mid, layer->ff().out_linear(), &ff_out);
+    x.AddInPlace(ff_out);
+  }
+  return x;
+}
+
 std::vector<std::vector<int>> Transformer::GenerateBatch(
     const std::vector<std::vector<int>>& input_ids, int max_steps) const {
   const int batch = static_cast<int>(input_ids.size());
@@ -73,11 +129,9 @@ std::vector<std::vector<int>> Transformer::GenerateBatch(
     span.Arg("batch", static_cast<int64_t>(batch));
     span.Arg("max_steps", static_cast<int64_t>(max_steps));
   }
-  // The encoder runs once; the (batched, length-masked) autograd path is
-  // fine for a single pass — only its value tensor is kept.
-  PaddedBatch enc = PaddedBatch::Pack(input_ids);
-  Tensor memory = EncodeBatch(enc).value();  // [B*Tm, D]
-  const int mem_len = enc.padded_len;
+  // The encoder runs once over the packed prompts.
+  std::vector<int> offsets;
+  const Tensor memory = EncodeRows(input_ids, &offsets);
   const int d = cfg_.dim;
 
   // Decoder positions are bounded by both the step budget and the model's
@@ -97,10 +151,12 @@ std::vector<std::vector<int>> Transformer::GenerateBatch(
   const size_t self_stride = static_cast<size_t>(cap) * d;
   std::vector<size_t> self_bases(static_cast<size_t>(batch));
   std::vector<size_t> cross_bases(static_cast<size_t>(batch));
+  std::vector<int> cross_lens(static_cast<size_t>(batch));
   for (int b = 0; b < batch; ++b) {
-    self_bases[static_cast<size_t>(b)] = static_cast<size_t>(b) * self_stride;
-    cross_bases[static_cast<size_t>(b)] =
-        static_cast<size_t>(b) * mem_len * static_cast<size_t>(d);
+    const size_t i = static_cast<size_t>(b);
+    self_bases[i] = i * self_stride;
+    cross_bases[i] = static_cast<size_t>(offsets[i]) * d;
+    cross_lens[i] = offsets[i + 1] - offsets[i];
   }
 
   std::vector<std::vector<int>> generated(static_cast<size_t>(batch));
@@ -164,7 +220,7 @@ std::vector<std::vector<int>> Transformer::GenerateBatch(
       LayerNormRows(h1, layer.ln2(), &n);
       AffineRows(n, layer.cross_attn().wq(), &q);
       AttendRows(q, layer.cross_attn(), state.cross_k.data(),
-                 state.cross_v.data(), cross_bases, enc.lengths, &ctx,
+                 state.cross_v.data(), cross_bases, cross_lens, &ctx,
                  &scores_buf);
       AffineRows(ctx, layer.cross_attn().wo(), &attn_out);
       h2 = h1;

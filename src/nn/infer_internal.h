@@ -1,10 +1,11 @@
 #ifndef DTT_NN_INFER_INTERNAL_H_
 #define DTT_NN_INFER_INTERNAL_H_
 
-// Shared row-wise kernels of the graph-free incremental decoder, used by the
-// greedy engine (nn/infer.cc, Transformer::GenerateBatch), the beam engine
-// (nn/beam.cc, Transformer::BeamDecodeBatch) and the step-resumable decoder
-// (nn/decode_session.cc, DecodeSession).
+// Shared row-wise kernels of the graph-free inference path: the unpadded
+// encoder (nn/infer.cc, Transformer::EncodeRows) and the incremental decoder
+// of the greedy engine (nn/infer.cc, Transformer::GenerateBatch), the beam
+// engine (nn/beam.cc, Transformer::BeamDecodeBatch) and the step-resumable
+// decoder (nn/decode_session.cc, DecodeSession).
 //
 // Every kernel mirrors its autograd counterpart operation-for-operation —
 // same GEMM kernels (nn/gemm.h), same accumulation order, same normalization
@@ -121,6 +122,84 @@ inline void AttendRows(const Tensor& q, const MultiHeadAttention& attn,
         if (a == 0.0f) continue;
         const float* vrow = vrows + static_cast<size_t>(j) * d + off;
         for (int p = 0; p < dh; ++p) crow[off + p] += a * vrow[p];
+      }
+    }
+  }
+}
+
+/// Bidirectional multi-head self-attention inside each packed sequence, the
+/// encoder's attention without padding or a key-length mask. Sequence b
+/// occupies rows offsets[b]..offsets[b+1]-1 of the projected q/k/v [N, D]
+/// and attends only over those rows. Writes the merged head outputs
+/// (pre-W_o) into ctx [N, D]; `scratch` is reused across calls.
+///
+/// Bit-identical to the autograd per-head MatMul(qh, Transpose(kh)) ->
+/// Scale -> Softmax -> MatMul(attn, vh): each score accumulates its
+/// products in ascending p from 0 (GemmAcc's order, zero q terms skipped),
+/// the softmax runs the Softmax op's max/exp/normalize order, and each
+/// output element sums its weighted values in ascending key order skipping
+/// exact-zero weights. K is transposed to [dh, L] once per sequence and head
+/// so the score loop runs over contiguous keys.
+inline void AttendSequences(const Tensor& q, const Tensor& k, const Tensor& v,
+                            const MultiHeadAttention& attn,
+                            const std::vector<int>& offsets, Tensor* ctx,
+                            std::vector<float>* scratch) {
+  const int d = q.cols();
+  const int num_heads = attn.num_heads();
+  const int dh = attn.head_dim();
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  *ctx = Tensor({q.rows(), d});
+  int max_len = 0;
+  for (size_t b = 0; b + 1 < offsets.size(); ++b) {
+    max_len = std::max(max_len, offsets[b + 1] - offsets[b]);
+  }
+  // Scratch: K^T [dh, max_len], one score row [max_len], one output row [dh].
+  scratch->resize(static_cast<size_t>(dh + 1) * max_len + dh);
+  float* kt = scratch->data();
+  float* scores = kt + static_cast<size_t>(dh) * max_len;
+  float* acc = scores + max_len;
+  for (size_t b = 0; b + 1 < offsets.size(); ++b) {
+    const int begin = offsets[b];
+    const int len = offsets[b + 1] - begin;
+    const float* qseq = q.data() + static_cast<size_t>(begin) * d;
+    const float* kseq = k.data() + static_cast<size_t>(begin) * d;
+    const float* vseq = v.data() + static_cast<size_t>(begin) * d;
+    float* cseq = ctx->data() + static_cast<size_t>(begin) * d;
+    for (int h = 0; h < num_heads; ++h) {
+      const int off = h * dh;
+      for (int j = 0; j < len; ++j) {
+        const float* krow = kseq + static_cast<size_t>(j) * d + off;
+        for (int p = 0; p < dh; ++p) {
+          kt[static_cast<size_t>(p) * len + j] = krow[p];
+        }
+      }
+      for (int i = 0; i < len; ++i) {
+        const float* qrow = qseq + static_cast<size_t>(i) * d + off;
+        std::fill(scores, scores + len, 0.0f);
+        for (int p = 0; p < dh; ++p) {
+          const float qv = qrow[p];
+          if (qv == 0.0f) continue;
+          const float* ktrow = kt + static_cast<size_t>(p) * len;
+          for (int j = 0; j < len; ++j) scores[j] += qv * ktrow[j];
+        }
+        for (int j = 0; j < len; ++j) scores[j] *= scale;
+        float mx = scores[0];
+        for (int j = 1; j < len; ++j) mx = std::max(mx, scores[j]);
+        float sum = 0.0f;
+        for (int j = 0; j < len; ++j) {
+          scores[j] = std::exp(scores[j] - mx);
+          sum += scores[j];
+        }
+        const float inv = 1.0f / sum;
+        for (int j = 0; j < len; ++j) scores[j] *= inv;
+        std::fill(acc, acc + dh, 0.0f);
+        for (int j = 0; j < len; ++j) {
+          const float a = scores[j];
+          if (a == 0.0f) continue;
+          const float* vrow = vseq + static_cast<size_t>(j) * d + off;
+          for (int p = 0; p < dh; ++p) acc[p] += a * vrow[p];
+        }
+        std::copy(acc, acc + dh, cseq + static_cast<size_t>(i) * d + off);
       }
     }
   }

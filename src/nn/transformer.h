@@ -51,6 +51,12 @@ class EncoderLayer : public Module {
   void CollectParams(const std::string& prefix,
                      std::vector<NamedParam>* out) override;
 
+  /// Sub-module views for the graph-free inference encoder.
+  const LayerNorm& ln1() const { return ln1_; }
+  const MultiHeadAttention& self_attn() const { return self_attn_; }
+  const LayerNorm& ln2() const { return ln2_; }
+  const FeedForward& ff() const { return ff_; }
+
  private:
   LayerNorm ln1_;
   MultiHeadAttention self_attn_;
@@ -109,7 +115,9 @@ class Transformer : public Module {
 
   /// Batched encoder pass over padded inputs -> memory [B*T, D]. Padded key
   /// positions are masked out of self-attention, so each sequence's valid
-  /// memory rows are bit-exact with the unbatched Encode.
+  /// memory rows are bit-exact with the unbatched Encode. For training (the
+  /// batched trainer) and as the oracle of the inference encoder only; the
+  /// decode engines encode through the graph-free EncodeRows.
   Var EncodeBatch(const PaddedBatch& inputs) const;
 
   /// Teacher-forcing decoder pass: given memory and decoder input ids
@@ -176,6 +184,7 @@ class Transformer : public Module {
 
  private:
   friend class DecodeSession;
+  friend struct TransformerPeer;  // test and bench access to EncodeRows
 
   TransformerConfig cfg_;
   Embedding embedding_;  // shared between encoder and decoder inputs
@@ -184,6 +193,14 @@ class Transformer : public Module {
   std::vector<std::unique_ptr<DecoderLayer>> decoder_;
   LayerNorm final_ln_;
   Linear lm_head_;
+
+  /// The graph-free, unpadded inference encoder shared by GenerateBatch,
+  /// BeamDecodeBatch and DecodeSession::Admit (nn/infer.cc). Returns the
+  /// packed memory [sum of lengths, D]: prompt b's rows start at
+  /// (*offsets)[b], and `offsets` gets one trailing entry, the total row
+  /// count. Bit-identical to Encode and to EncodeBatch's valid rows.
+  Tensor EncodeRows(const std::vector<std::vector<int>>& prompts,
+                    std::vector<int>* offsets) const;
 
   Var Embed(const std::vector<int>& ids) const;
   /// Embeds a padded batch: token embeddings plus per-sequence positions.

@@ -1,6 +1,5 @@
 #include "serve/continuous_batcher.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -118,27 +117,20 @@ void ContinuousBatcher::AdmitPending() {
   const CbMetrics& metrics = CbMetrics::Get();
   while (!pending_.empty() && decoder_->free_slots() > 0) {
     // Compose one admission group from the FIFO prefix: cut on free slots,
-    // or when the group's padded footprint would overflow the token budget.
+    // or when the next prompt's cost would overflow the token budget.
     const int free = decoder_->free_slots();
     std::vector<PendingTask> group;
-    int group_max_input = 0;  // padded input length of the group so far
-    int group_caps = 0;       // sum of members' decode caps (<sos> included)
+    int group_cost = 0;
     while (!pending_.empty() && static_cast<int>(group.size()) < free) {
-      const PreparedPrompt& next = pending_.front().prepared;
-      const int next_max_input = std::max(
-          group_max_input, static_cast<int>(next.input_ids.size()));
-      const int n = static_cast<int>(group.size()) + 1;
-      const int group_charge =
-          n * next_max_input + group_caps + next.max_steps + 1;
+      const int cost = pending_.front().prepared.cost;
       if (opts.max_tokens_in_flight > 0 &&
-          tokens_in_flight_ + group_charge > opts.max_tokens_in_flight &&
+          tokens_in_flight_ + group_cost + cost > opts.max_tokens_in_flight &&
           !(decoder_->active_slots() == 0 && group.empty())) {
         // Budget full. An over-budget prompt still admits alone into an
         // empty batch (the guard above), so nothing can starve.
         break;
       }
-      group_max_input = next_max_input;
-      group_caps += next.max_steps + 1;
+      group_cost += cost;
       group.push_back(std::move(pending_.front()));
       pending_.pop_front();
     }
@@ -159,12 +151,9 @@ void ContinuousBatcher::AdmitPending() {
     }
     std::vector<int> slots = decoder_->Admit(prepared);
     for (size_t i = 0; i < group.size(); ++i) {
-      // Every member is charged the group's padded input length plus its
-      // own decode cap — the packing rule's view of its KV footprint.
-      const int charge =
-          group_max_input + prepared[i].max_steps + 1;
-      tokens_in_flight_ += charge;
-      resident_[slots[i]] = {std::move(group[i].task), charge};
+      // Every member is charged its own prepared cost (its KV footprint).
+      tokens_in_flight_ += prepared[i].cost;
+      resident_[slots[i]] = {std::move(group[i].task), prepared[i].cost};
     }
     backend_->prompts.Add(group.size());
     admitted_.Add(group.size());

@@ -21,12 +21,11 @@ namespace serve {
 ///     finished sequences release them, instead of waiting for the whole
 ///     batch to run to completion (the convoy that costs p99 under
 ///     mixed-length traffic);
-///   * admissions compose FIFO under a token budget (`max_tokens_in_flight`)
-///     with padding-aware packing: each admission group shares one padded
-///     encoder pass, so every member is charged the group's padded input
-///     length plus its own decode cap (slimt's `rd::Batcher` max_words
-///     rule); a group is cut when the next prompt would overflow the budget
-///     or the free slots;
+///   * admissions compose FIFO under a token budget (`max_tokens_in_flight`):
+///     each member is charged its PreparedPrompt::cost (its own input
+///     length plus its decode cap — the encoder packs a group without
+///     padding); a group is cut when the next prompt would overflow the
+///     budget or the free slots;
 ///   * each decode step advances every resident sequence one token; finished
 ///     sequences complete through the same cache/dedup/slot machinery as the
 ///     micro-batch path (TransformService::CompleteTask).
@@ -69,7 +68,7 @@ class ContinuousBatcher {
     PreparedPrompt prepared;
   };
   /// A task resident in a decoder slot; `charge` is what admission charged
-  /// against the token budget (padded input length + decode cap).
+  /// against the token budget (the prompt's PreparedPrompt::cost).
   struct ResidentTask {
     TransformService::Task task;
     int charge = 0;

@@ -50,10 +50,10 @@ struct ContinuousOptions {
   /// Resident sequences the decode batch can hold (KV-cache slots).
   int max_slots = 8;
   /// Token budget across resident sequences, charged at each sequence's
-  /// padded KV footprint (padded input length + decode cap); admissions
-  /// wait once the budget is full. 0 = slots are the only bound. A prompt
-  /// too big for the budget still admits alone into an empty batch rather
-  /// than starving.
+  /// KV footprint (its PreparedPrompt::cost: input length + decode cap);
+  /// admissions wait once the budget is full. 0 = slots are the only
+  /// bound. A prompt too big for the budget still admits alone into an
+  /// empty batch rather than starving.
   int max_tokens_in_flight = 0;
 };
 

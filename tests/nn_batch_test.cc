@@ -1,18 +1,35 @@
 // Batched-vs-serial equivalence of the inference and training paths: the
-// padded, length-masked batch code must reproduce the single-sequence code
-// bit-for-bit (inference) or within float tolerance (gradients).
+// padded, length-masked batch code and the unpadded inference encoder must
+// reproduce the single-sequence code bit-for-bit (inference) or within
+// float tolerance (gradients).
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "models/neural_model.h"
+#include "nn/infer_internal.h"
 #include "nn/trainer.h"
 #include "nn/transformer.h"
 #include "testing/matchers.h"
 #include "text/vocab.h"
 
 namespace dtt {
+namespace nn {
+
+// Access to the private graph-free encoder.
+struct TransformerPeer {
+  static Tensor EncodeRows(const Transformer& model,
+                           const std::vector<std::vector<int>>& prompts,
+                           std::vector<int>* offsets) {
+    return model.EncodeRows(prompts, offsets);
+  }
+};
+
+}  // namespace nn
+
 namespace {
 
 nn::TransformerConfig TinyConfig() {
@@ -101,6 +118,119 @@ TEST(GenerateBatchTest, EmptyBatchReturnsEmpty) {
   Rng rng(61);
   nn::Transformer model(TinyConfig(), &rng);
   EXPECT_TRUE(model.GenerateBatch({}, 8).empty());
+}
+
+// --- Graph-free inference encoder -----------------------------------------
+
+// Rows [row, row + count) of `t` compared bitwise with `expected`'s rows, so a
+// -0.0/+0.0 flip fails.
+bool RowsBitIdentical(const nn::Tensor& t, int row, const nn::Tensor& expected) {
+  const size_t bytes = sizeof(float) * expected.size();
+  return std::memcmp(t.data() + static_cast<size_t>(row) * t.cols(),
+                     expected.data(), bytes) == 0;
+}
+
+// Checks EncodeRows over `inputs` against EncodeBatch's valid rows and the
+// serial Encode, bit for bit.
+void ExpectEncodeRowsMatchesGraph(const nn::Transformer& model,
+                                  const std::vector<std::vector<int>>& inputs) {
+  std::vector<int> offsets;
+  nn::Tensor packed = nn::TransformerPeer::EncodeRows(model, inputs, &offsets);
+  ASSERT_EQ(offsets.size(), inputs.size() + 1);
+  ASSERT_EQ(offsets[0], 0);
+  for (size_t b = 0; b < inputs.size(); ++b) {
+    ASSERT_EQ(offsets[b + 1] - offsets[b], static_cast<int>(inputs[b].size()));
+  }
+  const int dim = model.config().dim;
+  ASSERT_EQ(packed.rows(), offsets.back());
+  ASSERT_EQ(packed.cols(), dim);
+
+  nn::PaddedBatch batch = nn::PaddedBatch::Pack(inputs);
+  const nn::Var memory = model.EncodeBatch(batch);
+  const nn::Tensor& padded = memory.value();
+  for (size_t b = 0; b < inputs.size(); ++b) {
+    const int len = static_cast<int>(inputs[b].size());
+    nn::Tensor valid({len, dim});
+    std::memcpy(valid.data(),
+                padded.data() +
+                    static_cast<size_t>(b) * batch.padded_len * dim,
+                sizeof(float) * valid.size());
+    EXPECT_TRUE(RowsBitIdentical(packed, offsets[b], valid))
+        << "EncodeBatch, sequence " << b << " of length " << len;
+    EXPECT_TRUE(RowsBitIdentical(packed, offsets[b],
+                                 model.Encode(inputs[b]).value()))
+        << "Encode, sequence " << b << " of length " << len;
+  }
+}
+
+TEST(EncodeRowsTest, PackedRowsBitIdenticalToEncodeBatchAndSerialEncode) {
+  const nn::TransformerConfig cfg = TinyConfig();
+  for (uint64_t seed : {111u, 112u, 113u}) {
+    Rng rng(seed);
+    nn::Transformer model(cfg, &rng);
+    Rng data_rng(seed + 1000);
+    std::vector<std::vector<int>> inputs;
+    for (int len : {1, 2, 5, 17, cfg.max_len}) {
+      inputs.push_back(RandomIds(len, &data_rng));
+    }
+    // A duplicated prompt, and a seeded order so the longest prompt is not
+    // always last.
+    inputs.push_back(inputs[2]);
+    data_rng.Shuffle(&inputs);
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    ExpectEncodeRowsMatchesGraph(model, inputs);
+  }
+}
+
+TEST(EncodeRowsTest, GroupOfOneMatchesSerialEncode) {
+  Rng rng(121);
+  nn::Transformer model(TinyConfig(), &rng);
+  Rng data_rng(122);
+  ExpectEncodeRowsMatchesGraph(model, {RandomIds(23, &data_rng)});
+}
+
+// The whole-sequence kernel against the per-row decode kernel, one query row
+// at a time over the same keys and values.
+void ExpectAttendSequencesMatchesAttendRows(int dim, int num_heads) {
+  Rng rng(static_cast<uint64_t>(dim * 100 + num_heads));
+  nn::MultiHeadAttention attn(dim, num_heads, &rng);
+  const std::vector<int> offsets = {0, 1, 3, 8, 25, 25, 31};
+  const int rows = offsets.back();
+  nn::Tensor q({rows, dim}), k({rows, dim}), v({rows, dim});
+  for (nn::Tensor* t : {&q, &k, &v}) {
+    for (size_t i = 0; i < t->size(); ++i) {
+      // Every seventh entry an exact zero, to exercise the zero skips.
+      t->data()[i] = i % 7 == 0 ? 0.0f : static_cast<float>(rng.NextDouble() * 4.0 - 2.0);
+    }
+  }
+  nn::Tensor ctx;
+  std::vector<float> scratch;
+  nn::internal::AttendSequences(q, k, v, attn, offsets, &ctx, &scratch);
+  ASSERT_EQ(ctx.rows(), rows);
+  ASSERT_EQ(ctx.cols(), dim);
+  std::vector<float> scores_buf;
+  for (size_t b = 0; b + 1 < offsets.size(); ++b) {
+    const int len = offsets[b + 1] - offsets[b];
+    for (int i = offsets[b]; i < offsets[b + 1]; ++i) {
+      nn::Tensor qrow({1, dim});
+      std::memcpy(qrow.data(), q.data() + static_cast<size_t>(i) * dim,
+                  sizeof(float) * dim);
+      nn::Tensor expected;
+      nn::internal::AttendRows(
+          qrow, attn, k.data(), v.data(),
+          {static_cast<size_t>(offsets[b]) * dim}, {len}, &expected,
+          &scores_buf);
+      EXPECT_TRUE(RowsBitIdentical(ctx, i, expected))
+          << "dim " << dim << " heads " << num_heads << " row " << i;
+    }
+  }
+}
+
+TEST(AttendSequencesTest, BitIdenticalToAttendRowsPerQueryRow) {
+  const nn::TransformerConfig cfg = TinyConfig();
+  ExpectAttendSequencesMatchesAttendRows(cfg.dim, cfg.num_heads);
+  // An odd head width (21 / 3 = 7).
+  ExpectAttendSequencesMatchesAttendRows(21, 3);
 }
 
 // --- Trainer batching -------------------------------------------------------

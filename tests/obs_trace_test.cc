@@ -472,6 +472,70 @@ TEST_F(ObsTraceTest, TracedDecodeIsBitExactWithUntraced) {
   EXPECT_GT(beam_steps, 0);
 }
 
+// The graph-free encoder's nn.encode span (with its prompts/tokens args)
+// nests inside the span of the engine that called it: a decode session's
+// admission, a greedy batch, and a beam batch.
+TEST_F(ObsTraceTest, EncodeSpanNestsUnderEachEngine) {
+  nn::TransformerConfig cfg;
+  cfg.dim = 16;
+  cfg.num_heads = 2;
+  cfg.ff_hidden = 32;
+  cfg.encoder_layers = 1;
+  cfg.decoder_layers = 1;
+  cfg.max_len = 64;
+  Rng init_rng(61);
+  nn::Transformer model(cfg, &init_rng);
+  Rng data_rng(62);
+  std::vector<std::vector<int>> inputs;
+  for (int len : {9, 5, 13}) {
+    std::vector<int> ids;
+    for (int i = 0; i < len; ++i) {
+      ids.push_back(Vocab::ByteToken(
+          static_cast<uint8_t>(data_rng.NextBounded(256))));
+    }
+    inputs.push_back(std::move(ids));
+  }
+
+  const std::string path = TempFile("encode_trace.json");
+  ASSERT_TRUE(StartTracing(path).ok());
+  auto session = model.NewDecodeSession({4, 8});
+  session->Admit({{inputs[0], 0}, {inputs[1], 0}, {inputs[2], 0}});
+  model.GenerateBatch(inputs, 4);
+  model.BeamDecodeBatch(inputs, 4, 2);
+  ASSERT_TRUE(StopTracing().ok());
+
+  const JsonValue doc = ParseTraceFile(path);
+  std::vector<const JsonValue*> encodes, parents;
+  for (const auto& e : doc.at("traceEvents").items) {
+    if (e.at("ph").str != "X") continue;
+    const std::string name = e.at("name").str;
+    if (name == "nn.encode") encodes.push_back(&e);
+    if (name == "nn.session_admit" || name == "nn.generate_batch" ||
+        name == "nn.beam_batch") {
+      parents.push_back(&e);
+    }
+  }
+  ASSERT_EQ(encodes.size(), 3u);
+  std::map<std::string, int> nested_under;
+  for (const JsonValue* enc : encodes) {
+    EXPECT_EQ(enc->at("args").at("prompts").number, 3.0);
+    EXPECT_EQ(enc->at("args").at("tokens").number, 27.0);
+    const double e0 = enc->at("ts").number;
+    const double e1 = e0 + enc->at("dur").number;
+    for (const JsonValue* parent : parents) {
+      const double p0 = parent->at("ts").number;
+      const double p1 = p0 + parent->at("dur").number;
+      if (parent->at("tid").number == enc->at("tid").number && p0 <= e0 &&
+          e1 <= p1) {
+        ++nested_under[parent->at("name").str];
+      }
+    }
+  }
+  EXPECT_EQ(nested_under["nn.session_admit"], 1);
+  EXPECT_EQ(nested_under["nn.generate_batch"], 1);
+  EXPECT_EQ(nested_under["nn.beam_batch"], 1);
+}
+
 // PipelineOptions.trace_path is the API-level switch: constructing the
 // pipeline starts tracing, the TransformAll span appears, and predictions
 // still match the reference.

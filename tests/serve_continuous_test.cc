@@ -15,8 +15,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -376,6 +378,118 @@ TEST(ServeContinuousTest, CacheServesRepeatedRowsWithoutReadmission) {
   EXPECT_EQ(service.stats().backends[0].cb_admitted, admitted_cold);
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.cache.hits, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Token-budget accounting: admission charges each prompt its own
+// PreparedPrompt::cost, never a padded group length.
+// ---------------------------------------------------------------------------
+
+/// Holds the first decode step until released, and records what was
+/// admitted, so a test can read the batcher's gauges with the admission
+/// group resident.
+struct StepGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool stepping = false;
+  bool released = false;
+  std::vector<PreparedPrompt> admitted;
+};
+
+class GatedDecoder : public TokenStreamDecoder {
+ public:
+  GatedDecoder(std::unique_ptr<TokenStreamDecoder> inner, StepGate* gate)
+      : inner_(std::move(inner)), gate_(gate) {}
+
+  Result<PreparedPrompt> Prepare(const Prompt& prompt) const override {
+    return inner_->Prepare(prompt);
+  }
+  std::vector<int> Admit(const std::vector<PreparedPrompt>& group) override {
+    {
+      std::lock_guard<std::mutex> lock(gate_->mu);
+      gate_->admitted.insert(gate_->admitted.end(), group.begin(),
+                             group.end());
+    }
+    return inner_->Admit(group);
+  }
+  std::vector<Finished> Step() override {
+    std::unique_lock<std::mutex> lock(gate_->mu);
+    gate_->stepping = true;
+    gate_->cv.notify_all();
+    gate_->cv.wait(lock, [this] { return gate_->released; });
+    lock.unlock();
+    return inner_->Step();
+  }
+  void Cancel(int slot) override { inner_->Cancel(slot); }
+  int max_slots() const override { return inner_->max_slots(); }
+  int active_slots() const override { return inner_->active_slots(); }
+
+ private:
+  std::unique_ptr<TokenStreamDecoder> inner_;
+  StepGate* gate_;
+};
+
+class GatedModel : public TextToTextModel {
+ public:
+  GatedModel(std::shared_ptr<NeuralSeq2SeqModel> inner, StepGate* gate)
+      : inner_(std::move(inner)), gate_(gate) {}
+
+  std::string name() const override { return inner_->name(); }
+  Result<std::string> Transform(const Prompt& prompt) override {
+    return inner_->Transform(prompt);
+  }
+  bool thread_safe() const override { return inner_->thread_safe(); }
+  std::unique_ptr<TokenStreamDecoder> NewStreamDecoder(
+      const StreamDecoderOptions& options) override {
+    return std::make_unique<GatedDecoder>(inner_->NewStreamDecoder(options),
+                                          gate_);
+  }
+
+ private:
+  std::shared_ptr<NeuralSeq2SeqModel> inner_;
+  StepGate* gate_;
+};
+
+TEST(ServeContinuousTest, TokensInFlightChargesEachPromptItsOwnCost) {
+  StepGate gate;
+  auto model = std::make_shared<GatedModel>(TinyNeuralModel(404, 8), &gate);
+  ServeOptions opts = BaseOptions(33);
+  opts.decomposer.num_trials = 1;
+  opts.start_paused = true;  // both rows form one admission group
+  BackendQueueOptions queue;
+  queue.continuous.enabled = true;
+  queue.continuous.max_slots = 4;
+  opts.backends = {queue};
+  TransformService service(model, opts);
+  std::vector<std::future<RowPrediction>> futures;
+  for (const char* source : {"Kim Campbell", "Louis St Laurent"}) {
+    auto admitted = service.Submit(source, NameExamples());
+    ASSERT_TRUE(admitted.ok());
+    futures.push_back(std::move(admitted.value()));
+  }
+  service.Start();
+
+  std::vector<PreparedPrompt> admitted;
+  {
+    std::unique_lock<std::mutex> lock(gate.mu);
+    gate.cv.wait(lock, [&gate] { return gate.stepping; });
+    admitted = gate.admitted;
+  }
+  const int64_t in_flight =
+      obs::GlobalMetrics().GetGauge("serve.cb.tokens_in_flight")->Value();
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.released = true;
+  }
+  gate.cv.notify_all();
+  for (auto& future : futures) future.get();
+  service.Drain();
+
+  ASSERT_EQ(admitted.size(), 2u);
+  ASSERT_NE(admitted[0].input_ids.size(), admitted[1].input_ids.size());
+  EXPECT_EQ(in_flight, admitted[0].cost + admitted[1].cost);
+  EXPECT_EQ(obs::GlobalMetrics().GetGauge("serve.cb.tokens_in_flight")->Value(),
+            0);
 }
 
 // Invalid prompts (over-length serialization) fail identically on both
