@@ -10,14 +10,20 @@
 
 namespace dtt {
 
+namespace nn {
+struct EncodedPrompt;
+}  // namespace nn
+
 /// A prompt prepared for token-level (continuous) decoding: the serialized
-/// input ids plus the effective decode-step budget, and the admission cost
-/// the serve scheduler charges against its `max_tokens_in_flight` budget
-/// (KV-cache footprint: input length + decode cap).
+/// input ids plus the effective decode-step budget, the admission cost the
+/// serve scheduler charges against its `max_tokens_in_flight` budget
+/// (KV-cache footprint: input length + decode cap), and the prompt's
+/// encoder output, so admission only copies it into a slot.
 struct PreparedPrompt {
   std::vector<int> input_ids;
   int max_steps = 0;
   int cost = 0;
+  std::shared_ptr<const nn::EncodedPrompt> encoded;
 };
 
 /// Construction knobs for NewStreamDecoder.
@@ -34,7 +40,10 @@ struct StreamDecoderOptions {
 /// TransformBatch for every admission schedule (the backend's determinism
 /// contract, enforced by serve_continuous_test).
 ///
-/// Not thread-safe: one decoder belongs to one scheduler thread.
+/// Threading: Prepare is const and may run on any thread, concurrently with
+/// other Prepare calls and with Admit/Step/Cancel (the serve layer runs it on
+/// its worker pool). Admit, Step and Cancel are not thread-safe: they belong
+/// to one scheduler thread.
 class TokenStreamDecoder {
  public:
   /// A sequence that finished on the last Step: its (now freed) slot handle
@@ -46,13 +55,14 @@ class TokenStreamDecoder {
 
   virtual ~TokenStreamDecoder() = default;
 
-  /// Validates and serializes `prompt` without touching decoder state.
-  /// Returns exactly the errors Transform would (so the scheduler can fail
-  /// invalid requests before admission).
+  /// Validates, serializes and encodes `prompt` without touching decoder
+  /// state — the expensive, slot-independent half of admission. Returns
+  /// exactly the errors Transform would (so the scheduler can fail invalid
+  /// requests before admission). Thread-safe (see the class comment).
   virtual Result<PreparedPrompt> Prepare(const Prompt& prompt) const = 0;
 
-  /// Admits `group` into free slots — one shared encoder pass — and returns
-  /// one stable slot handle per prompt, in order. Requires
+  /// Admits `group`, each prompt from this decoder's Prepare, into free
+  /// slots and returns one stable slot handle per prompt, in order. Requires
   /// group.size() <= free_slots().
   virtual std::vector<int> Admit(
       const std::vector<PreparedPrompt>& group) = 0;

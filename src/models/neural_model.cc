@@ -53,16 +53,17 @@ class NeuralStreamDecoder : public TokenStreamDecoder {
     // max_tokens_in_flight budget.
     prepared.cost =
         static_cast<int>(prepared.input_ids.size()) + prepared.max_steps + 1;
+    prepared.encoded = session_->Encode(prepared.input_ids);
     return prepared;
   }
 
   std::vector<int> Admit(const std::vector<PreparedPrompt>& group) override {
-    std::vector<nn::DecodeSession::Admission> admissions;
-    admissions.reserve(group.size());
+    std::vector<int> slots;
+    slots.reserve(group.size());
     for (const PreparedPrompt& prepared : group) {
-      admissions.push_back({prepared.input_ids, prepared.max_steps});
+      slots.push_back(session_->Install(*prepared.encoded, prepared.max_steps));
     }
-    return session_->Admit(admissions);
+    return slots;
   }
 
   std::vector<Finished> Step() override {

@@ -103,6 +103,81 @@ void DecodeSession::FreePhys(int phys) {
       phys);
 }
 
+std::vector<std::shared_ptr<const EncodedPrompt>> DecodeSession::EncodeGroup(
+    const std::vector<std::vector<int>>& inputs) const {
+  // One encoder pass over the whole group, packed without padding — the
+  // encoder GenerateBatch runs, so each prompt's memory rows are
+  // bit-identical however the group is composed. The row-wise projection
+  // then gives each prompt exactly the cross K/V a group of one would.
+  std::vector<int> offsets;
+  const Tensor memory = model_->EncodeRows(inputs, &offsets);
+  std::vector<std::shared_ptr<EncodedPrompt>> encoded(inputs.size());
+  for (size_t g = 0; g < inputs.size(); ++g) {
+    assert(static_cast<int>(inputs[g].size()) <= mem_cap_);
+    encoded[g] = std::make_shared<EncodedPrompt>();
+    encoded[g]->len = offsets[g + 1] - offsets[g];
+  }
+  Tensor proj_k, proj_v;
+  for (const auto& layer : model_->decoder_) {
+    const MultiHeadAttention& cross = layer->cross_attn();
+    AffineRows(memory, cross.wk(), &proj_k);
+    AffineRows(memory, cross.wv(), &proj_v);
+    for (size_t g = 0; g < inputs.size(); ++g) {
+      EncodedPrompt& prompt = *encoded[g];
+      const size_t src =
+          static_cast<size_t>(offsets[g]) * static_cast<size_t>(d_);
+      const size_t valid =
+          static_cast<size_t>(prompt.len) * static_cast<size_t>(d_);
+      prompt.cross_k.emplace_back(std::vector<int>{prompt.len, d_});
+      prompt.cross_v.emplace_back(std::vector<int>{prompt.len, d_});
+      std::memcpy(prompt.cross_k.back().data(), proj_k.data() + src,
+                  sizeof(float) * valid);
+      std::memcpy(prompt.cross_v.back().data(), proj_v.data() + src,
+                  sizeof(float) * valid);
+    }
+  }
+  return {encoded.begin(), encoded.end()};
+}
+
+std::shared_ptr<const EncodedPrompt> DecodeSession::Encode(
+    const std::vector<int>& input_ids) const {
+  return EncodeGroup({input_ids})[0];
+}
+
+int DecodeSession::Install(const EncodedPrompt& prompt, int max_steps) {
+  assert(free_slots() > 0);
+  assert(prompt.len <= mem_cap_ && prompt.cross_k.size() == layers_.size());
+  const int handle = AllocHandle();
+  assert(!free_phys_.empty());
+  const int phys = free_phys_.back();
+  free_phys_.pop_back();
+  Slot& slot = slots_[static_cast<size_t>(handle)];
+  slot.in_use = true;
+  slot.done = false;
+  slot.phys = phys;
+  slot.mem_len = prompt.len;
+  slot.fed = 0;
+  slot.budget = max_steps > 0 ? std::min(max_steps, options_.max_steps)
+                              : options_.max_steps;
+  slot.cur_token = Vocab::kSos;
+  slot.out.clear();
+  ++active_;
+  // Copy the prompt's cross K/V rows into the slot's cache region.
+  const size_t valid =
+      static_cast<size_t>(prompt.len) * static_cast<size_t>(d_);
+  const size_t dst = static_cast<size_t>(phys) *
+                     static_cast<size_t>(mem_cap_) * static_cast<size_t>(d_);
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    std::memcpy(layers_[l].cross_k.data() + dst, prompt.cross_k[l].data(),
+                sizeof(float) * valid);
+    std::memcpy(layers_[l].cross_v.data() + dst, prompt.cross_v[l].data(),
+                sizeof(float) * valid);
+  }
+  ++stats_.admitted;
+  SessionMetrics::Get().admitted->Increment();
+  return handle;
+}
+
 std::vector<int> DecodeSession::Admit(const std::vector<Admission>& group) {
   std::vector<int> handles;
   if (group.empty()) return handles;
@@ -112,67 +187,16 @@ std::vector<int> DecodeSession::Admit(const std::vector<Admission>& group) {
     span.Arg("group", static_cast<int64_t>(group.size()));
     span.Arg("active", static_cast<int64_t>(active_));
   }
-
-  // One shared encoder pass over the whole admission group, packed without
-  // padding — the encoder GenerateBatch runs, so each sequence's memory rows
-  // are bit-identical however the group is composed.
   std::vector<std::vector<int>> inputs;
   inputs.reserve(group.size());
-  for (const Admission& adm : group) {
-    assert(static_cast<int>(adm.input_ids.size()) <= mem_cap_);
-    inputs.push_back(adm.input_ids);
-  }
-  std::vector<int> offsets;
-  const Tensor memory = model_->EncodeRows(inputs, &offsets);
-
-  // Project the group's cross-attention K/V once per layer, then copy each
-  // sequence's rows into its slot's cache region.
+  for (const Admission& adm : group) inputs.push_back(adm.input_ids);
+  const std::vector<std::shared_ptr<const EncodedPrompt>> encoded =
+      EncodeGroup(inputs);
   handles.reserve(group.size());
-  std::vector<int> phys_rows;
-  phys_rows.reserve(group.size());
   for (size_t g = 0; g < group.size(); ++g) {
-    const int handle = AllocHandle();
-    assert(!free_phys_.empty());
-    const int phys = free_phys_.back();
-    free_phys_.pop_back();
-    Slot& slot = slots_[static_cast<size_t>(handle)];
-    slot.in_use = true;
-    slot.done = false;
-    slot.phys = phys;
-    slot.mem_len = offsets[g + 1] - offsets[g];
-    slot.fed = 0;
-    slot.budget = group[g].max_steps > 0
-                      ? std::min(group[g].max_steps, options_.max_steps)
-                      : options_.max_steps;
-    slot.cur_token = Vocab::kSos;
-    slot.out.clear();
-    handles.push_back(handle);
-    phys_rows.push_back(phys);
-    ++active_;
+    handles.push_back(Install(*encoded[g], group[g].max_steps));
   }
-  Tensor proj_k, proj_v;
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    const MultiHeadAttention& cross = model_->decoder_[l]->cross_attn();
-    AffineRows(memory, cross.wk(), &proj_k);
-    AffineRows(memory, cross.wv(), &proj_v);
-    LayerState& layer = layers_[l];
-    for (size_t g = 0; g < group.size(); ++g) {
-      const size_t valid = static_cast<size_t>(offsets[g + 1] - offsets[g]) *
-                           static_cast<size_t>(d_);
-      const size_t src =
-          static_cast<size_t>(offsets[g]) * static_cast<size_t>(d_);
-      const size_t dst = static_cast<size_t>(phys_rows[g]) *
-                         static_cast<size_t>(mem_cap_) *
-                         static_cast<size_t>(d_);
-      std::memcpy(layer.cross_k.data() + dst, proj_k.data() + src,
-                  sizeof(float) * valid);
-      std::memcpy(layer.cross_v.data() + dst, proj_v.data() + src,
-                  sizeof(float) * valid);
-    }
-  }
-  stats_.admitted += group.size();
   ++stats_.admit_groups;
-  SessionMetrics::Get().admitted->Add(group.size());
   return handles;
 }
 

@@ -23,12 +23,21 @@ struct DecodeSessionOptions {
 
 /// Point-in-time session counters (monotonic over the session's lifetime).
 struct DecodeSessionStats {
-  uint64_t admitted = 0;       // sequences admitted
+  uint64_t admitted = 0;       // sequences installed (Admit or Install)
   uint64_t admit_groups = 0;   // Admit calls (shared encoder passes)
   uint64_t steps = 0;          // Step calls that advanced >= 1 sequence
   uint64_t finished = 0;       // sequences that reached EOS or a cap
   uint64_t evictions = 0;      // Release calls on a still-live sequence
   uint64_t compact_moves = 0;  // physical KV rows moved by Compact
+};
+
+/// One prompt after the encoder: its memory rows projected through every
+/// decoder layer's cross-attention K and V, ready to copy into a session
+/// slot. Immutable once DecodeSession::Encode returns it.
+struct EncodedPrompt {
+  int len = 0;                  // encoder memory rows (the prompt's length)
+  std::vector<Tensor> cross_k;  // per decoder layer, [len, D]
+  std::vector<Tensor> cross_v;  // per decoder layer, [len, D]
 };
 
 /// The step-resumable form of Transformer::GenerateBatch: a persistent
@@ -40,9 +49,11 @@ struct DecodeSessionStats {
 /// once-projected cross-attention K/V of each sequence's encoder memory —
 /// and exposes the decode step loop:
 ///
-///   * Admit() encodes a group of prompts in one unpadded EncodeRows pass
-///     (exactly GenerateBatch's encoder) and installs each sequence in a
-///     free slot with its own decode-step budget;
+///   * Encode() runs one prompt through the unpadded EncodeRows pass
+///     (exactly GenerateBatch's encoder) and projects its cross-attention
+///     K/V; Install() copies an encoded prompt into a free slot with its own
+///     decode-step budget. Admit() is both for a group: one shared encoder
+///     pass, then one Install per prompt;
 ///   * Step() advances every live sequence one token in lockstep, whatever
 ///     mix of admission times and prefix lengths they have, and reports the
 ///     sequences that finished (EOS, budget, or the model length cap);
@@ -59,8 +70,11 @@ struct DecodeSessionStats {
 /// per-sequence outputs are bit-identical to GreedyDecode / GenerateBatch
 /// (enforced by nn_decode_session_test).
 ///
-/// Not thread-safe: one session belongs to one decode thread (the serve
-/// layer gives each continuous backend its own).
+/// Threading: Encode() is const and touches only the model's read-only
+/// weights, so any number of threads may call it concurrently with each
+/// other and with the session's owner (the serve layer encodes on its worker
+/// pool). Everything else is not thread-safe: one session belongs to one
+/// decode thread (the serve layer gives each continuous backend its own).
 class DecodeSession {
  public:
   /// One admission: the serialized prompt plus an optional per-sequence
@@ -73,6 +87,18 @@ class DecodeSession {
   ~DecodeSession();
   DecodeSession(const DecodeSession&) = delete;
   DecodeSession& operator=(const DecodeSession&) = delete;
+
+  /// Encodes one prompt and projects its cross-attention K/V for every
+  /// decoder layer. Thread-safe (see the class comment); the result is
+  /// bit-identical however prompts are grouped or scheduled. Requires the
+  /// prompt within the model's input length limit.
+  std::shared_ptr<const EncodedPrompt> Encode(
+      const std::vector<int>& input_ids) const;
+
+  /// Installs an encoded prompt into a free slot with a decode-step budget
+  /// (0 = the session's max_steps) and returns its stable handle. Requires
+  /// free_slots() > 0.
+  int Install(const EncodedPrompt& prompt, int max_steps = 0);
 
   /// Admits `group` into free slots through one shared encoder pass.
   /// Returns one stable slot handle per admission, in order. Requires
@@ -130,6 +156,9 @@ class DecodeSession {
     Tensor cross_v;  // [slots, mem_cap, D]
   };
 
+  /// Encode() for a group: one EncodeRows pass over all prompts.
+  std::vector<std::shared_ptr<const EncodedPrompt>> EncodeGroup(
+      const std::vector<std::vector<int>>& inputs) const;
   int AllocHandle();
   void FreePhys(int phys);
 

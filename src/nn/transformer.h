@@ -195,8 +195,8 @@ class Transformer : public Module {
   Linear lm_head_;
 
   /// The graph-free, unpadded inference encoder shared by GenerateBatch,
-  /// BeamDecodeBatch and DecodeSession::Admit (nn/infer.cc). Returns the
-  /// packed memory [sum of lengths, D]: prompt b's rows start at
+  /// BeamDecodeBatch and DecodeSession::Encode/Admit (nn/infer.cc). Returns
+  /// the packed memory [sum of lengths, D]: prompt b's rows start at
   /// (*offsets)[b], and `offsets` gets one trailing entry, the total row
   /// count. Bit-identical to Encode and to EncodeBatch's valid rows.
   Tensor EncodeRows(const std::vector<std::vector<int>>& prompts,

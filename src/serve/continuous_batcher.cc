@@ -47,23 +47,37 @@ ContinuousBatcher::ContinuousBatcher(TransformService* service,
 
 ContinuousBatcher::~ContinuousBatcher() = default;
 
+size_t ContinuousBatcher::PrepareAhead() const {
+  // Pool workers prepare up to a full batch ahead, so freed slots refill
+  // without waiting for an encode. Inline, an encode ahead of admission
+  // would only delay the resident rows' next step, so prepare just what
+  // the free slots can take.
+  return static_cast<size_t>(service_->pool_ ? decoder_->max_slots()
+                                             : decoder_->free_slots());
+}
+
+bool ContinuousBatcher::Runnable() const {
+  const bool launchable =
+      launched_ < pending_.size() && launched_ < PrepareAhead();
+  // A prepared head is admissible: the batch is empty or stepping anyway.
+  return !backend_->queue.empty() || decoder_->active_slots() > 0 ||
+         launchable || (!pending_.empty() && pending_.front()->prepared);
+}
+
 void ContinuousBatcher::Loop() {
   std::unique_lock<std::mutex> lock(backend_->mu);
   for (;;) {
-    // pending_ and the decoder are touched only by this thread, so reading
-    // them in the predicate is race-free; cross-thread wakeups come from
-    // queue pushes, Start(), and shutdown, all of which notify the cv.
+    // pending_, launched_ and the decoder's slots are written only by this
+    // thread; the queue and the prepared flags change under the lock held
+    // here, and every change (queue pushes, prepare completions, Start(),
+    // shutdown) notifies the cv. Stopping returns only once nothing is
+    // queued, preparing, pending or resident.
     backend_->cv.wait(lock, [&] {
-      return service_->stopping_.load() ||
-             (!service_->paused_.load() &&
-              (!backend_->queue.empty() || !pending_.empty() ||
-               decoder_->active_slots() > 0));
+      return (!service_->paused_.load() && Runnable()) ||
+             (service_->stopping_.load() && backend_->queue.empty() &&
+              pending_.empty() && decoder_->active_slots() == 0);
     });
-    if (backend_->queue.empty() && pending_.empty() &&
-        decoder_->active_slots() == 0) {
-      if (service_->stopping_.load()) return;
-      continue;  // spurious wake or paused
-    }
+    if (!Runnable()) return;
     // Take every queued task; later arrivals get the next iteration (which
     // follows immediately while anything is resident — no sleeping between
     // steps, so admission latency is bounded by one decode step).
@@ -71,8 +85,13 @@ void ContinuousBatcher::Loop() {
     raw.swap(backend_->queue);
     lock.unlock();
 
-    PrepareArrivals(&raw);
-    AdmitPending();
+    for (TransformService::Task& task : raw) {
+      auto entry = std::make_shared<PendingTask>();
+      entry->task = std::move(task);
+      pending_.push_back(std::move(entry));
+    }
+    LaunchPrepares();
+    AdmitPrepared();
     if (decoder_->active_slots() > 0) StepOnce();
 
     lock.lock();
@@ -94,76 +113,105 @@ void ContinuousBatcher::RecordQueueWait(const TransformService::Task& task) {
   }
 }
 
-void ContinuousBatcher::PrepareArrivals(
-    std::deque<TransformService::Task>* raw) {
-  while (!raw->empty()) {
-    TransformService::Task task = std::move(raw->front());
-    raw->pop_front();
-    Result<PreparedPrompt> prepared = decoder_->Prepare(task.prompt);
-    if (!prepared.ok()) {
-      // Same error policy as the micro-batch path: model errors become
-      // abstentions, published through the full completion machinery.
-      RecordQueueWait(task);
-      service_->CompleteTask(backend_, task,
-                             OutputOrAbstain(prepared.status()));
-      continue;
+void ContinuousBatcher::LaunchPrepares() {
+  const size_t ahead = PrepareAhead();
+  while (launched_ < pending_.size() && launched_ < ahead) {
+    std::shared_ptr<PendingTask> entry = pending_[launched_++];
+    if (service_->pool_) {
+      service_->pool_->Submit([this, entry] { RunPrepare(entry.get()); });
+    } else {
+      RunPrepare(entry.get());
     }
-    pending_.push_back({std::move(task), std::move(prepared).value()});
   }
 }
 
-void ContinuousBatcher::AdmitPending() {
+void ContinuousBatcher::RunPrepare(PendingTask* entry) {
+  {
+    obs::TraceSpan span("serve", "serve.cb.prepare");
+    if (span.enabled()) {
+      span.Arg("request", static_cast<int64_t>(entry->task.row->request));
+      span.Arg("model", static_cast<int64_t>(entry->task.model));
+      span.Arg("trial", static_cast<int64_t>(entry->task.trial));
+    }
+    entry->result = decoder_->Prepare(entry->task.prompt);
+  }
+  // Publish and notify under the lock: the scheduler cannot miss the
+  // wakeup, and cannot leave Loop() (it retakes the lock first) until this
+  // section, the last touch of the batcher by a pool task, has ended.
+  std::lock_guard<std::mutex> lock(backend_->mu);
+  entry->prepared = true;
+  backend_->cv.notify_all();
+}
+
+void ContinuousBatcher::AdmitPrepared() {
   const ContinuousOptions& opts = backend_->opts.continuous;
   const CbMetrics& metrics = CbMetrics::Get();
-  while (!pending_.empty() && decoder_->free_slots() > 0) {
-    // Compose one admission group from the FIFO prefix: cut on free slots,
-    // or when the next prompt's cost would overflow the token budget.
-    const int free = decoder_->free_slots();
-    std::vector<PendingTask> group;
-    int group_cost = 0;
-    while (!pending_.empty() && static_cast<int>(group.size()) < free) {
-      const int cost = pending_.front().prepared.cost;
-      if (opts.max_tokens_in_flight > 0 &&
-          tokens_in_flight_ + group_cost + cost > opts.max_tokens_in_flight &&
-          !(decoder_->active_slots() == 0 && group.empty())) {
-        // Budget full. An over-budget prompt still admits alone into an
-        // empty batch (the guard above), so nothing can starve.
-        break;
-      }
-      group_cost += cost;
-      group.push_back(std::move(pending_.front()));
-      pending_.pop_front();
-    }
-    if (group.empty()) break;  // budget-blocked behind residents
-
-    obs::TraceSpan span("serve", "serve.cb.admit");
-    if (span.enabled()) {
-      span.Arg("backend", backend_->model->name());
-      span.Arg("group", static_cast<int64_t>(group.size()));
-      span.Arg("active", static_cast<int64_t>(decoder_->active_slots()));
-      span.Arg("request0", static_cast<int64_t>(group[0].task.row->request));
-    }
-    std::vector<PreparedPrompt> prepared;
-    prepared.reserve(group.size());
-    for (PendingTask& member : group) {
-      RecordQueueWait(member.task);
-      prepared.push_back(std::move(member.prepared));
-    }
-    std::vector<int> slots = decoder_->Admit(prepared);
-    for (size_t i = 0; i < group.size(); ++i) {
-      // Every member is charged its own prepared cost (its KV footprint).
-      tokens_in_flight_ += prepared[i].cost;
-      resident_[slots[i]] = {std::move(group[i].task), prepared[i].cost};
-    }
-    backend_->prompts.Add(group.size());
-    admitted_.Add(group.size());
-    admit_groups_.Increment();
-    metrics.admitted->Add(group.size());
-    metrics.admit_groups->Increment();
-    metrics.admit_group_size->Record(static_cast<double>(group.size()));
-    metrics.slots_active->Set(decoder_->active_slots());
-    metrics.tokens_in_flight->Set(tokens_in_flight_);
+  // Compose one admission group from the FIFO prefix of prepared prompts:
+  // cut at the first prompt still preparing, on free slots, or when the
+  // next prompt's cost would overflow the token budget.
+  size_t ready = 0;
+  {
+    std::lock_guard<std::mutex> lock(backend_->mu);
+    while (ready < launched_ && pending_[ready]->prepared) ++ready;
   }
+  const size_t free = static_cast<size_t>(decoder_->free_slots());
+  std::vector<std::shared_ptr<PendingTask>> group;
+  int group_cost = 0;
+  for (; ready > 0; --ready) {
+    PendingTask& head = *pending_.front();
+    if (!head.result->ok()) {
+      // Same error policy as the micro-batch path: model errors become
+      // abstentions, published through the full completion machinery.
+      RecordQueueWait(head.task);
+      service_->CompleteTask(backend_, head.task,
+                             OutputOrAbstain(head.result->status()));
+      pending_.pop_front();
+      --launched_;
+      continue;
+    }
+    if (group.size() >= free) break;
+    const int cost = head.result->value().cost;
+    if (opts.max_tokens_in_flight > 0 &&
+        tokens_in_flight_ + group_cost + cost > opts.max_tokens_in_flight &&
+        !(decoder_->active_slots() == 0 && group.empty())) {
+      // Budget full. An over-budget prompt still admits alone into an
+      // empty batch (the guard above), so nothing can starve.
+      break;
+    }
+    group_cost += cost;
+    group.push_back(std::move(pending_.front()));
+    pending_.pop_front();
+    --launched_;
+  }
+  if (group.empty()) return;
+
+  obs::TraceSpan span("serve", "serve.cb.admit");
+  if (span.enabled()) {
+    span.Arg("backend", backend_->model->name());
+    span.Arg("group", static_cast<int64_t>(group.size()));
+    span.Arg("active", static_cast<int64_t>(decoder_->active_slots()));
+    span.Arg("request0", static_cast<int64_t>(group[0]->task.row->request));
+  }
+  std::vector<PreparedPrompt> prepared;
+  prepared.reserve(group.size());
+  for (const std::shared_ptr<PendingTask>& member : group) {
+    RecordQueueWait(member->task);
+    prepared.push_back(std::move(*member->result).value());
+  }
+  std::vector<int> slots = decoder_->Admit(prepared);
+  for (size_t i = 0; i < group.size(); ++i) {
+    // Every member is charged its own prepared cost (its KV footprint).
+    tokens_in_flight_ += prepared[i].cost;
+    resident_[slots[i]] = {std::move(group[i]->task), prepared[i].cost};
+  }
+  backend_->prompts.Add(group.size());
+  admitted_.Add(group.size());
+  admit_groups_.Increment();
+  metrics.admitted->Add(group.size());
+  metrics.admit_groups->Increment();
+  metrics.admit_group_size->Record(static_cast<double>(group.size()));
+  metrics.slots_active->Set(decoder_->active_slots());
+  metrics.tokens_in_flight->Set(tokens_in_flight_);
 }
 
 void ContinuousBatcher::StepOnce() {

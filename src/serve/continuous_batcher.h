@@ -3,6 +3,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -17,15 +18,25 @@ namespace serve {
 /// TokenStreamDecoder — a persistent slotted KV-cache batch — and replaces
 /// the fixed micro-batch loop with the decode step loop:
 ///
-///   * queued prompts are admitted into free slots mid-decode, the moment
+///   * arrivals are prepared (validated, serialized and encoded by
+///     TokenStreamDecoder::Prepare) on the service's worker pool, so the
+///     scheduler thread only installs encoded prompts and steps the batch;
+///     without a pool (num_threads <= 1) the same Prepare runs inline on the
+///     scheduler thread. At most max_slots prompts are prepared ahead of
+///     admission (inline: at most the free slots, so encodes never delay a
+///     step for prompts that could not be admitted yet), which bounds the
+///     encoded prompts held in memory;
+///   * prepared prompts are admitted into free slots mid-decode, the moment
 ///     finished sequences release them, instead of waiting for the whole
 ///     batch to run to completion (the convoy that costs p99 under
 ///     mixed-length traffic);
-///   * admissions compose FIFO under a token budget (`max_tokens_in_flight`):
-///     each member is charged its PreparedPrompt::cost (its own input
-///     length plus its decode cap — the encoder packs a group without
-///     padding); a group is cut when the next prompt would overflow the
-///     budget or the free slots;
+///   * admissions compose from the FIFO prefix of prepared prompts — a
+///     prompt whose Prepare is still running holds back those behind it,
+///     so admission order is arrival order — under a token budget
+///     (`max_tokens_in_flight`): each member is charged its
+///     PreparedPrompt::cost (its own input length plus its decode cap —
+///     each prompt is encoded alone, without padding); a group is cut when
+///     the next prompt would overflow the budget or the free slots;
 ///   * each decode step advances every resident sequence one token; finished
 ///     sequences complete through the same cache/dedup/slot machinery as the
 ///     micro-batch path (TransformService::CompleteTask).
@@ -37,9 +48,12 @@ namespace serve {
 /// serve_continuous_test against a continuous-disabled oracle service.
 ///
 /// Threading: Loop() runs on the backend's scheduler thread and is the only
-/// caller of the decoder; the backend queue hand-off uses the backend's
-/// existing mutex/cv. `queue_wait_ms` keeps its meaning — enqueue to
-/// dispatch — with dispatch now the moment the prompt is admitted to a slot.
+/// caller of the decoder's Admit/Step; pool workers call only the const,
+/// thread-safe Prepare. The backend queue hand-off and prepare completions
+/// use the backend's existing mutex/cv. Loop() returns only once no Prepare
+/// is outstanding, so no pool task outlives the batcher. `queue_wait_ms`
+/// keeps its meaning — enqueue to dispatch — with dispatch now the moment
+/// the prompt is admitted to a slot.
 class ContinuousBatcher {
  public:
   ContinuousBatcher(TransformService* service,
@@ -62,10 +76,13 @@ class ContinuousBatcher {
   uint64_t evicted() const { return evicted_.Value(); }
 
  private:
-  /// A prepared task waiting for a slot, FIFO.
+  /// An arrival waiting for a slot, FIFO. Shared with the pool task that
+  /// prepares it, which writes `result` and then sets `prepared`; the
+  /// scheduler reads `result` only after seeing `prepared`.
   struct PendingTask {
     TransformService::Task task;
-    PreparedPrompt prepared;
+    std::optional<Result<PreparedPrompt>> result;
+    bool prepared = false;  // guarded by the backend mutex
   };
   /// A task resident in a decoder slot; `charge` is what admission charged
   /// against the token budget (the prompt's PreparedPrompt::cost).
@@ -74,12 +91,20 @@ class ContinuousBatcher {
     int charge = 0;
   };
 
-  /// Validates/serializes newly drained tasks; invalid ones complete
-  /// immediately with the Transform-path error policy.
-  void PrepareArrivals(std::deque<TransformService::Task>* raw);
-  /// Admits the longest FIFO prefix of pending_ that fits the free slots
-  /// and the token budget, as one shared-encoder admission group.
-  void AdmitPending();
+  /// True when the scheduler has something to do. Caller holds backend mu.
+  bool Runnable() const;
+  /// How many prompts may be prepared or preparing but not yet admitted:
+  /// max_slots with a pool, the free slots inline.
+  size_t PrepareAhead() const;
+  /// Starts Prepare for the oldest unprepared arrivals, on the pool when the
+  /// service has one (inline otherwise), up to PrepareAhead().
+  void LaunchPrepares();
+  /// Runs one Prepare and publishes its result (any thread).
+  void RunPrepare(PendingTask* entry);
+  /// Admits the longest FIFO prefix of prepared prompts that fits the free
+  /// slots and the token budget as one admission group; invalid prompts at
+  /// the head complete with the Transform-path error policy.
+  void AdmitPrepared();
   /// Advances the resident batch one token and completes finished tasks.
   void StepOnce();
   void RecordQueueWait(const TransformService::Task& task);
@@ -88,7 +113,10 @@ class ContinuousBatcher {
   TransformService::Backend* backend_;
   std::unique_ptr<TokenStreamDecoder> decoder_;
 
-  std::deque<PendingTask> pending_;
+  // Scheduler-thread state. pending_[0, launched_) have had Prepare
+  // started; admission and failures pop from the front.
+  std::deque<std::shared_ptr<PendingTask>> pending_;
+  size_t launched_ = 0;
   std::unordered_map<int, ResidentTask> resident_;  // by slot handle
   int tokens_in_flight_ = 0;
 

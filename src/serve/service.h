@@ -118,7 +118,7 @@ struct BackendStats {
   /// Continuous-batching counters; all zero on micro-batching backends.
   bool continuous = false;
   uint64_t cb_admitted = 0;      // sequences admitted into slots
-  uint64_t cb_admit_groups = 0;  // admission groups (shared encoder passes)
+  uint64_t cb_admit_groups = 0;  // admission groups (Admit calls)
   uint64_t cb_steps = 0;         // decode steps run
   uint64_t cb_evicted = 0;       // sequences that left their slot
 };

@@ -5,6 +5,7 @@
 // the same sequences in any batch permutation — and keep that identity
 // across mid-decode eviction, slot reuse, and KV compaction.
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -188,6 +189,52 @@ TEST(DecodeSessionTest, SlotReuseAfterReleaseMatchesFreshDecode) {
   EXPECT_EQ(session->output(second[1]), model.GreedyDecode(d, 16));
   EXPECT_EQ(session->stats().admitted, 4u);
   EXPECT_EQ(session->stats().admit_groups, 2u);
+}
+
+/// Byte comparison of two decoded outputs (lengths first, then memcmp).
+bool SameBytes(const std::vector<int>& a, const std::vector<int>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), sizeof(int) * a.size()) == 0);
+}
+
+// Encode() + Install() — the split the serve layer runs on two threads — is
+// byte-identical to the grouped Admit(): shuffled groups, a prompt admitted
+// twice in one group, and a group of one.
+TEST(DecodeSessionTest, EncodeThenInstallMatchesGroupAdmit) {
+  Rng rng(3181);
+  nn::Transformer model(TinyConfig(), &rng);
+  Rng data_rng(3182);
+  std::vector<std::vector<int>> inputs;
+  for (int len : {5, 17, 1, 9, 30}) inputs.push_back(RandomIds(len, &data_rng));
+  inputs.push_back(inputs[1]);  // duplicated prompt
+  const std::vector<std::vector<size_t>> orders = {
+      {0, 1, 2, 3, 4, 5}, {5, 3, 0, 4, 1, 2}, {2, 1, 5, 3, 0, 4}, {3}};
+  for (const std::vector<size_t>& order : orders) {
+    auto grouped = model.NewDecodeSession({6, 20});
+    auto split = model.NewDecodeSession({6, 20});
+    std::vector<nn::DecodeSession::Admission> group;
+    std::vector<int> split_handles;
+    for (size_t i : order) {
+      const int budget = 4 + static_cast<int>(i) * 3;
+      group.push_back({inputs[i], budget});
+      std::shared_ptr<const nn::EncodedPrompt> encoded =
+          split->Encode(inputs[i]);
+      ASSERT_EQ(encoded->len, static_cast<int>(inputs[i].size()));
+      split_handles.push_back(split->Install(*encoded, budget));
+    }
+    const std::vector<int> grouped_handles = grouped->Admit(group);
+    RunToDone(grouped.get(), grouped_handles);
+    RunToDone(split.get(), split_handles);
+    for (size_t g = 0; g < order.size(); ++g) {
+      EXPECT_TRUE(SameBytes(split->output(split_handles[g]),
+                            grouped->output(grouped_handles[g])))
+          << "prompt " << order[g];
+    }
+    EXPECT_EQ(split->stats().admitted, order.size());
+    EXPECT_EQ(split->stats().admit_groups, 0u);
+    EXPECT_EQ(grouped->stats().admit_groups, 1u);
+  }
 }
 
 TEST(DecodeSessionTest, StepOnEmptySessionReturnsNothing) {

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 
 #include "core/pipeline.h"
 #include "models/knowledge_lm.h"
+#include "models/neural_model.h"
 #include "models/pattern_induction.h"
 #include "nn/transformer.h"
 #include "serve/service.h"
@@ -534,6 +536,92 @@ TEST_F(ObsTraceTest, EncodeSpanNestsUnderEachEngine) {
   EXPECT_EQ(nested_under["nn.session_admit"], 1);
   EXPECT_EQ(nested_under["nn.generate_batch"], 1);
   EXPECT_EQ(nested_under["nn.beam_batch"], 1);
+}
+
+// With a worker pool, a continuous backend encodes each arrival inside a
+// serve.cb.prepare span on a pool thread: every nn.encode nests under one
+// serve.cb.prepare on a tid other than the scheduler's serve.cb.step tid,
+// and each request's tree carries its prepare.
+TEST_F(ObsTraceTest, PoolPrepareSpanCarriesTheEncode) {
+  nn::TransformerConfig cfg;
+  cfg.dim = 16;
+  cfg.num_heads = 2;
+  cfg.ff_hidden = 32;
+  cfg.encoder_layers = 1;
+  cfg.decoder_layers = 1;
+  cfg.max_len = 128;
+  Rng init_rng(71);
+  auto transformer = std::make_shared<nn::Transformer>(cfg, &init_rng);
+  SerializerOptions sopts;
+  sopts.max_tokens = cfg.max_len;
+  NeuralModelOptions nopts;
+  nopts.max_output_tokens = 6;
+  auto model = std::make_shared<NeuralSeq2SeqModel>(
+      transformer, Serializer(sopts), nopts);
+  const std::vector<ExamplePair> examples = {{"Justin Trudeau", "jtrudeau"},
+                                             {"Stephen Harper", "sharper"}};
+  const std::vector<std::string> sources = {"Kim Campbell", "Brian Mulroney",
+                                            "Pierre Trudeau", "Paul Martin"};
+
+  const std::string path = TempFile("prepare_trace.json");
+  ASSERT_TRUE(StartTracing(path).ok());
+  serve::ServeOptions opts;
+  opts.decomposer.num_trials = 1;
+  opts.num_threads = 2;
+  serve::BackendQueueOptions queue;
+  queue.continuous.enabled = true;
+  queue.continuous.max_slots = 2;
+  opts.backends = {queue};
+  {
+    serve::TransformService service(model, opts);
+    std::vector<std::future<RowPrediction>> futures;
+    for (const auto& source : sources) {
+      auto admitted = service.Submit(source, examples);
+      ASSERT_TRUE(admitted.ok());
+      futures.push_back(std::move(admitted).value());
+    }
+    for (auto& f : futures) f.get();
+  }
+  ASSERT_TRUE(StopTracing().ok());
+
+  const JsonValue doc = ParseTraceFile(path);
+  std::vector<const JsonValue*> encodes, prepares;
+  std::set<double> step_tids;
+  for (const auto& e : doc.at("traceEvents").items) {
+    if (e.at("ph").str != "X") continue;
+    const std::string name = e.at("name").str;
+    if (name == "nn.encode") encodes.push_back(&e);
+    if (name == "serve.cb.prepare") prepares.push_back(&e);
+    if (name == "serve.cb.step") step_tids.insert(e.at("tid").number);
+  }
+  ASSERT_EQ(step_tids.size(), 1u);
+  const double scheduler_tid = *step_tids.begin();
+  ASSERT_EQ(prepares.size(), sources.size());
+  ASSERT_EQ(encodes.size(), sources.size());
+  std::set<double> requests;
+  for (const JsonValue* prep : prepares) {
+    EXPECT_NE(prep->at("tid").number, scheduler_tid);
+    requests.insert(prep->at("args").at("request").number);
+    EXPECT_EQ(prep->at("args").at("model").number, 0.0);
+    EXPECT_EQ(prep->at("args").at("trial").number, 0.0);
+  }
+  EXPECT_EQ(requests.size(), sources.size());
+  for (const JsonValue* enc : encodes) {
+    EXPECT_NE(enc->at("tid").number, scheduler_tid);
+    EXPECT_EQ(enc->at("args").at("prompts").number, 1.0);
+    const double e0 = enc->at("ts").number;
+    const double e1 = e0 + enc->at("dur").number;
+    int parents = 0;
+    for (const JsonValue* prep : prepares) {
+      const double p0 = prep->at("ts").number;
+      const double p1 = p0 + prep->at("dur").number;
+      if (prep->at("tid").number == enc->at("tid").number && p0 <= e0 &&
+          e1 <= p1) {
+        ++parents;
+      }
+    }
+    EXPECT_EQ(parents, 1);
+  }
 }
 
 // PipelineOptions.trace_path is the API-level switch: constructing the

@@ -17,8 +17,10 @@
 #include <cmath>
 #include <condition_variable>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -488,6 +490,232 @@ TEST(ServeContinuousTest, TokensInFlightChargesEachPromptItsOwnCost) {
   ASSERT_EQ(admitted.size(), 2u);
   ASSERT_NE(admitted[0].input_ids.size(), admitted[1].input_ids.size());
   EXPECT_EQ(in_flight, admitted[0].cost + admitted[1].cost);
+  EXPECT_EQ(obs::GlobalMetrics().GetGauge("serve.cb.tokens_in_flight")->Value(),
+            0);
+}
+
+// ---------------------------------------------------------------------------
+// Where Prepare runs: with a worker pool the encoder pass leaves the decode
+// scheduler thread, admission stays FIFO, and at most max_slots prompts are
+// prepared ahead of admission; without a pool everything stays on the one
+// scheduler thread.
+// ---------------------------------------------------------------------------
+
+/// Records the threads that run Prepare and Admit/Step, the prompts prepared
+/// (or preparing) but not yet admitted, and the admission order by source.
+/// Optionally holds every Prepare until released, and delays the Prepare of
+/// one source so later arrivals finish preparing first.
+struct PrepareProbe {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool hold = false;
+  std::string slow_source;
+  int preparing = 0;  // inside Prepare right now
+  int ahead = 0;      // Prepare started, not yet admitted
+  int max_ahead = 0;
+  std::set<std::thread::id> prepare_threads;
+  std::set<std::thread::id> scheduler_threads;  // Admit and Step callers
+  std::map<std::vector<int>, std::string> source_of;
+  std::vector<std::string> admitted;  // sources, in admission order
+};
+
+class ProbeDecoder : public TokenStreamDecoder {
+ public:
+  ProbeDecoder(std::unique_ptr<TokenStreamDecoder> inner, PrepareProbe* probe)
+      : inner_(std::move(inner)), probe_(probe) {}
+
+  Result<PreparedPrompt> Prepare(const Prompt& prompt) const override {
+    {
+      std::unique_lock<std::mutex> lock(probe_->mu);
+      probe_->prepare_threads.insert(std::this_thread::get_id());
+      probe_->max_ahead = std::max(probe_->max_ahead, ++probe_->ahead);
+      ++probe_->preparing;
+      probe_->cv.notify_all();
+      probe_->cv.wait(lock, [this] { return !probe_->hold; });
+    }
+    if (prompt.source == probe_->slow_source) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    Result<PreparedPrompt> prepared = inner_->Prepare(prompt);
+    std::lock_guard<std::mutex> lock(probe_->mu);
+    --probe_->preparing;
+    if (prepared.ok()) {
+      probe_->source_of[prepared.value().input_ids] = prompt.source;
+    } else {
+      --probe_->ahead;  // never admitted
+    }
+    return prepared;
+  }
+  std::vector<int> Admit(const std::vector<PreparedPrompt>& group) override {
+    {
+      std::lock_guard<std::mutex> lock(probe_->mu);
+      probe_->scheduler_threads.insert(std::this_thread::get_id());
+      for (const PreparedPrompt& prepared : group) {
+        probe_->admitted.push_back(probe_->source_of[prepared.input_ids]);
+      }
+      probe_->ahead -= static_cast<int>(group.size());
+    }
+    return inner_->Admit(group);
+  }
+  std::vector<Finished> Step() override {
+    {
+      std::lock_guard<std::mutex> lock(probe_->mu);
+      probe_->scheduler_threads.insert(std::this_thread::get_id());
+    }
+    return inner_->Step();
+  }
+  void Cancel(int slot) override { inner_->Cancel(slot); }
+  int max_slots() const override { return inner_->max_slots(); }
+  int active_slots() const override { return inner_->active_slots(); }
+
+ private:
+  std::unique_ptr<TokenStreamDecoder> inner_;
+  PrepareProbe* probe_;
+};
+
+class ProbeModel : public TextToTextModel {
+ public:
+  ProbeModel(std::shared_ptr<NeuralSeq2SeqModel> inner, PrepareProbe* probe)
+      : inner_(std::move(inner)), probe_(probe) {}
+
+  std::string name() const override { return inner_->name(); }
+  Result<std::string> Transform(const Prompt& prompt) override {
+    return inner_->Transform(prompt);
+  }
+  bool thread_safe() const override { return inner_->thread_safe(); }
+  std::unique_ptr<TokenStreamDecoder> NewStreamDecoder(
+      const StreamDecoderOptions& options) override {
+    return std::make_unique<ProbeDecoder>(inner_->NewStreamDecoder(options),
+                                          probe_);
+  }
+
+ private:
+  std::shared_ptr<NeuralSeq2SeqModel> inner_;
+  PrepareProbe* probe_;
+};
+
+/// One distinct-row burst through a probed continuous backend with
+/// `max_slots` slots, submitted paused so the whole burst queues at once.
+/// Returns the sources in submission order.
+std::vector<std::string> RunProbedBurst(PrepareProbe* probe, int num_threads,
+                                        int max_slots, int rows) {
+  auto model = std::make_shared<ProbeModel>(TinyNeuralModel(515, 6), probe);
+  ServeOptions opts = BaseOptions(55);
+  opts.decomposer.num_trials = 1;
+  opts.cache.enabled = false;
+  opts.num_threads = num_threads;
+  opts.start_paused = true;
+  BackendQueueOptions queue;
+  queue.continuous.enabled = true;
+  queue.continuous.max_slots = max_slots;
+  opts.backends = {queue};
+  TransformService service(model, opts);
+  std::vector<std::string> sources;
+  std::vector<std::future<RowPrediction>> futures;
+  for (int r = 0; r < rows; ++r) {
+    sources.push_back("row-" + std::to_string(r));
+    auto admitted = service.Submit(sources.back(), NameExamples());
+    EXPECT_TRUE(admitted.ok());
+    futures.push_back(std::move(admitted.value()));
+  }
+  service.Start();
+  for (auto& future : futures) future.get();
+  return sources;
+}
+
+TEST(ServeContinuousTest, PoolPreparesOffSchedulerThreadInArrivalOrder) {
+  PrepareProbe probe;
+  probe.slow_source = "row-0";  // the head finishes preparing last
+  const std::vector<std::string> sources =
+      RunProbedBurst(&probe, /*num_threads=*/2, /*max_slots=*/3, 12);
+  ASSERT_EQ(probe.scheduler_threads.size(), 1u);
+  const std::thread::id scheduler = *probe.scheduler_threads.begin();
+  EXPECT_FALSE(probe.prepare_threads.empty());
+  EXPECT_EQ(probe.prepare_threads.count(scheduler), 0u)
+      << "Prepare ran on the decode scheduler thread";
+  EXPECT_EQ(probe.admitted, sources);
+  EXPECT_GE(probe.max_ahead, 1);
+  EXPECT_LE(probe.max_ahead, 3);
+  EXPECT_EQ(probe.ahead, 0);
+}
+
+TEST(ServeContinuousTest, InlinePreparesStayOnSchedulerThread) {
+  PrepareProbe probe;
+  const std::vector<std::string> sources =
+      RunProbedBurst(&probe, /*num_threads=*/1, /*max_slots=*/2, 8);
+  ASSERT_EQ(probe.scheduler_threads.size(), 1u);
+  EXPECT_EQ(probe.prepare_threads, probe.scheduler_threads);
+  EXPECT_EQ(probe.admitted, sources);
+  EXPECT_LE(probe.max_ahead, 2);
+  EXPECT_EQ(probe.ahead, 0);
+}
+
+// Destroying a service while Prepare calls are blocked on the pool, with
+// more queued behind them: the destructor drains, so every accepted row
+// resolves exactly once and nothing is left charged to the batcher.
+TEST(ServeContinuousTest, DestroyWithPreparesQueuedOnPool) {
+  PrepareProbe probe;
+  probe.hold = true;
+  auto model = std::make_shared<ProbeModel>(TinyNeuralModel(616, 6), &probe);
+  ServeOptions opts = BaseOptions(66);
+  opts.decomposer.num_trials = 1;
+  opts.cache.enabled = false;
+  opts.num_threads = 2;
+  BackendQueueOptions queue;
+  queue.continuous.enabled = true;
+  queue.continuous.max_slots = 4;
+  opts.backends = {queue};
+  auto service = std::make_unique<TransformService>(model, opts);
+
+  const int kRows = 8;
+  std::vector<std::atomic<int>> completions(kRows);
+  std::vector<std::future<RowPrediction>> futures;
+  for (int r = 0; r < kRows; ++r) {
+    auto admitted = service->Submit(
+        "row-" + std::to_string(r), NameExamples(),
+        [&completions, r](const RowPrediction&) {
+          completions[static_cast<size_t>(r)].fetch_add(1);
+        });
+    ASSERT_TRUE(admitted.ok());
+    futures.push_back(std::move(admitted.value()));
+  }
+  {
+    // Both workers blocked inside Prepare; the other launched prepares wait
+    // in the pool's queue. On a timeout, release the hold so the service
+    // can still drain before the test fails.
+    std::unique_lock<std::mutex> lock(probe.mu);
+    const bool blocked =
+        probe.cv.wait_for(lock, std::chrono::seconds(10),
+                          [&probe] { return probe.preparing == 2; });
+    if (!blocked) {
+      probe.hold = false;
+      probe.cv.notify_all();
+    }
+    ASSERT_TRUE(blocked) << "prepares did not reach both pool workers";
+  }
+  // The destructor blocks in its drain until the held prepares finish.
+  std::thread destroyer([&service] { service.reset(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  {
+    std::lock_guard<std::mutex> lock(probe.mu);
+    EXPECT_EQ(probe.preparing, 2);
+    probe.hold = false;
+  }
+  probe.cv.notify_all();
+  // join() returning means the destructor's drain saw zero pending rows.
+  destroyer.join();
+
+  for (int r = 0; r < kRows; ++r) {
+    ASSERT_EQ(futures[static_cast<size_t>(r)].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    futures[static_cast<size_t>(r)].get();
+    EXPECT_EQ(completions[static_cast<size_t>(r)].load(), 1) << "row " << r;
+  }
+  EXPECT_LE(probe.max_ahead, 4);
+  EXPECT_EQ(probe.ahead, 0);
+  EXPECT_EQ(probe.admitted.size(), static_cast<size_t>(kRows));
+  EXPECT_EQ(obs::GlobalMetrics().GetGauge("serve.cb.slots_active")->Value(),
+            0);
   EXPECT_EQ(obs::GlobalMetrics().GetGauge("serve.cb.tokens_in_flight")->Value(),
             0);
 }
