@@ -125,6 +125,20 @@ void BM_SynthesizeCommonPrograms(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthesizeCommonPrograms);
 
+// What the simulated DTT model does per prompt: the same joint search, but
+// the walk stops at the first program that applies to the input row.
+void BM_FirstCommonProgramOutput(benchmark::State& state) {
+  induction::InductionConfig cfg;
+  const std::vector<ExamplePair> examples = {kWebRow1, kWebRow2};
+  const induction::TokenCache source("Stephen Joseph Harper, Calgary AB",
+                                     cfg.separators);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        induction::FirstCommonProgramOutput(examples, source, cfg));
+  }
+}
+BENCHMARK(BM_FirstCommonProgramOutput);
+
 void BM_Aggregate(benchmark::State& state) {
   Aggregator agg;
   std::vector<std::string> votes;

@@ -419,48 +419,30 @@ void KeepBest(const std::vector<Node>& nodes, size_t cap,
   ids->resize(cap);
 }
 
-// The finished programs of `done`, best first, deduplicated by key after
-// literal canonicalization, at most cfg.max_programs of them.
-std::vector<AtomProgram> Materialize(const std::vector<Node>& nodes,
-                                     std::vector<uint32_t> done,
-                                     const Candidates& cands,
-                                     const InductionConfig& cfg) {
-  std::sort(done.begin(), done.end(), BetterNode{nodes});
-  std::vector<AtomProgram> out;
-  std::unordered_set<std::string> seen;
-  for (uint32_t id : done) {
-    AtomProgram program;
-    program.score = nodes[id].score;
-    program.atoms.resize(static_cast<size_t>(nodes[id].depth));
-    for (const Node* n = &nodes[id]; n->parent >= 0; n = &nodes[n->parent]) {
-      program.atoms[static_cast<size_t>(n->depth - 1)] =
-          cands[n->pos][n->cand].atom;
-    }
-    internal::CanonicalizeLiterals(&program);
-    if (!seen.insert(program.Key()).second) continue;
-    out.push_back(std::move(program));
-    if (static_cast<int>(out.size()) >= cfg.max_programs) break;
-  }
-  return out;
-}
+// What a search leaves behind: its candidate atoms, its arena and the ids of
+// its finished programs (in no particular order).
+struct Search {
+  Candidates cands;
+  std::vector<Node> nodes;
+  std::vector<uint32_t> done;
+};
 
-}  // namespace
-
-std::vector<AtomProgram> SynthesizePrograms(const ExamplePair& ex,
-                                            const InductionConfig& cfg) {
+// Beam over the target positions of one example.
+Search BeamSearch(const ExamplePair& ex, const InductionConfig& cfg) {
+  Search s;
   const std::string& t = ex.target;
-  if (t.empty()) return {};
+  if (t.empty()) return s;
   TokenCache cache(ex.source, cfg.separators);
-  const Candidates cands = internal::PositionCandidates(cache, t, cfg);
+  s.cands = internal::PositionCandidates(cache, t, cfg);
+  const Candidates& cands = s.cands;
 
-  // Beam over target positions. A pruned beam holds at most 2 * beam_width
-  // partials, which bounds the arena; reserving it up front spares the
-  // copies of a growing vector.
+  // A pruned beam holds at most 2 * beam_width partials, which bounds the
+  // arena; reserving it up front spares the copies of a growing vector.
   size_t max_nodes = 1;
   for (const auto& c : cands) {
     max_nodes += 2 * static_cast<size_t>(cfg.beam_width) * c.size();
   }
-  std::vector<Node> nodes;
+  std::vector<Node>& nodes = s.nodes;
   nodes.reserve(max_nodes);
   nodes.push_back({-1, 0, 0, 0, 0.0});
   std::vector<std::vector<uint32_t>> beams(t.size() + 1);
@@ -480,34 +462,35 @@ std::vector<AtomProgram> SynthesizePrograms(const ExamplePair& ex,
       }
     }
   }
-  return Materialize(nodes, std::move(beams[t.size()]), cands, cfg);
+  s.done = std::move(beams[t.size()]);
+  return s;
 }
-
-namespace {
 
 // Joint synthesis over two examples (the FlashFill-style version-space
 // intersection): a DP over position pairs (j1, j2) of the two targets where
 // every candidate atom must produce matching pieces for BOTH examples under
 // the SAME positional descriptor. Far more complete than intersecting two
 // independently-ranked program lists, and cheaper too.
-std::vector<AtomProgram> JointSynthesize(const ExamplePair& ex1,
-                                         const ExamplePair& ex2,
-                                         const InductionConfig& cfg) {
+Search JointSearch(const ExamplePair& ex1, const ExamplePair& ex2,
+                   const InductionConfig& cfg) {
+  Search s;
   const std::string& t1 = ex1.target;
   const std::string& t2 = ex2.target;
-  if (t1.empty() || t2.empty()) return {};
+  if (t1.empty() || t2.empty()) return s;
   TokenCache cache1(ex1.source, cfg.separators);
   TokenCache cache2(ex2.source, cfg.separators);
 
   // Candidate atoms anchored on example 1's positions (as in the
   // single-example synthesis); each is validated against example 2 lazily.
-  const Candidates cands1 = internal::PositionCandidates(cache1, t1, cfg);
+  s.cands = internal::PositionCandidates(cache1, t1, cfg);
+  const Candidates& cands1 = s.cands;
 
   // dp[j1][j2]: best partial programs reaching (j1, j2).
   constexpr size_t kPerState = 4;
   const size_t n1 = t1.size() + 1;
   const size_t n2 = t2.size() + 1;
-  std::vector<Node> nodes = {{-1, 0, 0, 0, 0.0}};
+  std::vector<Node>& nodes = s.nodes;
+  nodes.push_back({-1, 0, 0, 0, 0.0});
   std::vector<std::vector<std::vector<uint32_t>>> dp(
       n1, std::vector<std::vector<uint32_t>>(n2));
   dp[0][0].push_back(0);
@@ -542,36 +525,156 @@ std::vector<AtomProgram> JointSynthesize(const ExamplePair& ex1,
       here.shrink_to_fit();
     }
   }
-  return Materialize(nodes, std::move(dp[t1.size()][t2.size()]), cands1, cfg);
+  s.done = std::move(dp[t1.size()][t2.size()]);
+  return s;
+}
+
+// Walks the finished programs of `search` in program-list order: best first,
+// deduplicated by key after literal canonicalization, at most
+// cfg.max_programs distinct ones. `stop(id)` sees each finished node before
+// its key is computed and ends the walk by returning true. Programs with one
+// key behave alike, so a node `stop` accepts is never a duplicate: its
+// earlier twin would have ended the walk already. Each new distinct program
+// that did not stop the walk then goes to `keep(id, program)`.
+template <typename Stop, typename Keep>
+void VisitPrograms(Search* search, const InductionConfig& cfg, Stop&& stop,
+                   Keep&& keep) {
+  const std::vector<Node>& nodes = search->nodes;
+  // A heap with the best node on top: the walk usually ends long before the
+  // last of the finished nodes, so they are never fully sorted.
+  std::vector<uint32_t>& heap = search->done;
+  const auto worse = [&nodes](uint32_t a, uint32_t b) {
+    return BetterNode{nodes}(b, a);
+  };
+  std::make_heap(heap.begin(), heap.end(), worse);
+  std::unordered_set<std::string> seen;
+  int distinct = 0;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), worse);
+    const uint32_t id = heap.back();
+    heap.pop_back();
+    if (stop(id)) return;
+    AtomProgram program;
+    program.score = nodes[id].score;
+    program.atoms.resize(static_cast<size_t>(nodes[id].depth));
+    for (const Node* n = &nodes[id]; n->parent >= 0; n = &nodes[n->parent]) {
+      program.atoms[static_cast<size_t>(n->depth - 1)] =
+          search->cands[n->pos][n->cand].atom;
+    }
+    internal::CanonicalizeLiterals(&program);
+    if (!seen.insert(program.Key()).second) continue;
+    keep(id, std::move(program));
+    if (++distinct >= cfg.max_programs) return;
+  }
+}
+
+// Appends the output of finished program `id` on `cache` to `out`, straight
+// from the arena; false when an atom does not apply.
+bool AppendOutput(const Search& search, uint32_t id, const TokenCache& cache,
+                  std::string* out) {
+  const Node& n = search.nodes[id];
+  if (n.parent < 0) return true;
+  if (!AppendOutput(search, static_cast<uint32_t>(n.parent), cache, out)) {
+    return false;
+  }
+  auto piece = search.cands[n.pos][n.cand].atom.Apply(cache);
+  if (!piece) return false;
+  *out += *piece;
+  return true;
+}
+
+// The examples after the first two, which a joint search does not cover:
+// its programs must reproduce their targets as well.
+class RestExamples {
+ public:
+  RestExamples(const std::vector<ExamplePair>& examples,
+               const InductionConfig& cfg) {
+    for (size_t i = 2; i < examples.size(); ++i) {
+      sources_.emplace_back(examples[i].source, cfg.separators);
+      targets_.push_back(&examples[i].target);
+    }
+  }
+
+  bool Match(const Search& search, uint32_t id) const {
+    for (size_t i = 0; i < sources_.size(); ++i) {
+      std::string out;
+      if (!AppendOutput(search, id, sources_[i], &out) || out != *targets_[i]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::vector<TokenCache> sources_;
+  std::vector<const std::string*> targets_;
+};
+
+// The first program of the walk that matches `rest` and has a non-empty
+// output on `source`.
+std::optional<ProgramOutput> FirstOutput(Search* search,
+                                         const RestExamples& rest,
+                                         const TokenCache& source,
+                                         const InductionConfig& cfg) {
+  std::optional<ProgramOutput> first;
+  VisitPrograms(
+      search, cfg,
+      [&](uint32_t id) {
+        if (!rest.Match(*search, id)) return false;
+        std::string out;
+        if (!AppendOutput(*search, id, source, &out) || out.empty()) {
+          return false;
+        }
+        first = ProgramOutput{std::move(out), search->nodes[id].score};
+        return true;
+      },
+      [](uint32_t, AtomProgram&&) {});
+  return first;
 }
 
 }  // namespace
 
+std::vector<AtomProgram> SynthesizePrograms(const ExamplePair& ex,
+                                            const InductionConfig& cfg) {
+  Search search = BeamSearch(ex, cfg);
+  std::vector<AtomProgram> out;
+  VisitPrograms(
+      &search, cfg, [](uint32_t) { return false; },
+      [&](uint32_t, AtomProgram&& program) {
+        out.push_back(std::move(program));
+      });
+  return out;
+}
+
 std::vector<AtomProgram> SynthesizeCommonPrograms(
     const std::vector<ExamplePair>& examples, const InductionConfig& cfg) {
-  std::vector<AtomProgram> result;
-  if (examples.empty()) return result;
+  if (examples.empty()) return {};
   if (examples.size() == 1) return SynthesizePrograms(examples[0], cfg);
+  Search search = JointSearch(examples[0], examples[1], cfg);
+  const RestExamples rest(examples, cfg);
+  std::vector<AtomProgram> out;
+  VisitPrograms(
+      &search, cfg, [](uint32_t) { return false; },
+      [&](uint32_t id, AtomProgram&& program) {
+        if (rest.Match(search, id)) out.push_back(std::move(program));
+      });
+  return out;
+}
 
-  result = JointSynthesize(examples[0], examples[1], cfg);
-  if (examples.size() == 2) return result;
+std::optional<ProgramOutput> FirstProgramOutput(const ExamplePair& ex,
+                                                const TokenCache& source,
+                                                const InductionConfig& cfg) {
+  Search search = BeamSearch(ex, cfg);
+  return FirstOutput(&search, RestExamples({}, cfg), source, cfg);
+}
 
-  // More than two examples: verify the joint programs on the rest.
-  std::vector<TokenCache> rest;
-  rest.reserve(examples.size() - 2);
-  for (size_t i = 2; i < examples.size(); ++i) {
-    rest.emplace_back(examples[i].source, cfg.separators);
-  }
-  std::vector<AtomProgram> filtered;
-  for (auto& program : result) {
-    bool ok = true;
-    for (size_t i = 2; i < examples.size() && ok; ++i) {
-      auto out = program.Apply(rest[i - 2]);
-      ok = out && *out == examples[i].target;
-    }
-    if (ok) filtered.push_back(std::move(program));
-  }
-  return filtered;
+std::optional<ProgramOutput> FirstCommonProgramOutput(
+    const std::vector<ExamplePair>& examples, const TokenCache& source,
+    const InductionConfig& cfg) {
+  if (examples.empty()) return std::nullopt;
+  if (examples.size() == 1) return FirstProgramOutput(examples[0], source, cfg);
+  Search search = JointSearch(examples[0], examples[1], cfg);
+  return FirstOutput(&search, RestExamples(examples, cfg), source, cfg);
 }
 
 std::string GlobalPattern::Apply(std::string_view input) const {

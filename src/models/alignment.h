@@ -80,8 +80,9 @@ struct Atom {
   /// otherwise the single separator character the split uses).
   char family = 0;
 
-  /// Output of this atom on the cached input; nullopt when a descriptor is
-  /// unresolvable (e.g. the input has fewer tokens).
+  /// Output of this atom on the cached input. Descriptors clamp like the
+  /// transformation DSL's substr()/split(): an out-of-range token or span
+  /// yields the empty string, so a valid atom never returns nullopt.
   std::optional<std::string> Apply(const TokenCache& cache) const;
 
   /// Structural key; equal keys <=> same transformation behaviour.
@@ -93,6 +94,9 @@ struct AtomProgram {
   std::vector<Atom> atoms;
   double score = 0.0;
 
+  /// Concatenated atom outputs on the input. Atoms clamp (see Atom::Apply),
+  /// so every program applies to every input and never returns nullopt;
+  /// a program whose descriptors all fall outside the input yields "".
   std::optional<std::string> Apply(std::string_view input,
                                    std::string_view separators) const;
   std::optional<std::string> Apply(const TokenCache& cache) const;
@@ -133,6 +137,28 @@ std::vector<AtomProgram> SynthesizePrograms(const ExamplePair& ex,
 /// examples, verified on the rest; result sorted by score (descending).
 std::vector<AtomProgram> SynthesizeCommonPrograms(
     const std::vector<ExamplePair>& examples, const InductionConfig& cfg);
+
+/// The output of one synthesized program on some input, with its score.
+struct ProgramOutput {
+  std::string output;
+  double score = 0.0;
+};
+
+/// The output on `source` of the first program in SynthesizePrograms(ex, cfg)
+/// whose output there is non-empty, with that program's score; nullopt when
+/// no listed program has one (including when it lies beyond
+/// cfg.max_programs). Output and score equal those of scanning the list, bit
+/// for bit, but the walk stops at that program instead of materializing the
+/// list. `source` must tokenize with cfg.separators.
+std::optional<ProgramOutput> FirstProgramOutput(const ExamplePair& ex,
+                                                const TokenCache& source,
+                                                const InductionConfig& cfg);
+
+/// FirstProgramOutput over SynthesizeCommonPrograms(examples, cfg): the
+/// first common program with a non-empty output on `source`.
+std::optional<ProgramOutput> FirstCommonProgramOutput(
+    const std::vector<ExamplePair>& examples, const TokenCache& source,
+    const InductionConfig& cfg);
 
 /// Whole-string pattern detectors that cover transformations outside the
 /// atom language (the paper's §5.5 observation that DTT handles reversal and

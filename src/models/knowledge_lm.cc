@@ -99,18 +99,15 @@ Result<std::string> KnowledgeLM::Transform(const Prompt& prompt) {
       return CorruptChars(*out, noise, &rng);
     }
   } else {
-    auto programs = induction::SynthesizeCommonPrograms(prompt.examples, cfg);
-    for (const auto& program : programs) {
-      auto out = program.Apply(prompt.source, cfg.separators);
-      if (out && !out->empty()) return CorruptChars(*out, noise, &rng);
-    }
+    const induction::TokenCache source(prompt.source, cfg.separators);
+    auto common =
+        induction::FirstCommonProgramOutput(prompt.examples, source, cfg);
+    if (common) return CorruptChars(common->output, noise, &rng);
     // Inconsistent context: follow the first example alone half the time.
     if (rng.NextBool(0.5)) {
-      auto singles = induction::SynthesizePrograms(prompt.examples[0], cfg);
-      for (const auto& program : singles) {
-        auto out = program.Apply(prompt.source, cfg.separators);
-        if (out && !out->empty()) return CorruptChars(*out, noise, &rng);
-      }
+      auto single =
+          induction::FirstProgramOutput(prompt.examples[0], source, cfg);
+      if (single) return CorruptChars(single->output, noise, &rng);
     }
   }
 

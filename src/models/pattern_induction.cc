@@ -98,13 +98,10 @@ Result<std::string> PatternInductionModel::Transform(const Prompt& prompt) {
   // 3. Character-level program synthesis across all context examples.
   const induction::TokenCache source(prompt.source,
                                      options_.induction.separators);
-  auto programs =
-      induction::SynthesizeCommonPrograms(prompt.examples, options_.induction);
-  for (const auto& program : programs) {
-    auto out = program.Apply(source);
-    if (out && !out->empty()) {
-      return CorruptChars(*out, options_.generation_noise, &rng);
-    }
+  auto common = induction::FirstCommonProgramOutput(prompt.examples, source,
+                                                    options_.induction);
+  if (common) {
+    return CorruptChars(common->output, options_.generation_noise, &rng);
   }
 
   // 4. Noise fallback: no program explains all examples (inconsistent or
@@ -118,16 +115,12 @@ Result<std::string> PatternInductionModel::Transform(const Prompt& prompt) {
     double best_score = -1e18;
     std::string best_output;
     for (const auto& example : prompt.examples) {
-      auto singles = induction::SynthesizePrograms(example, options_.induction);
-      for (const auto& program : singles) {
-        auto out = program.Apply(source);
-        if (out && !out->empty()) {
-          if (program.score > best_score) {
-            best_score = program.score;
-            best_output = *out;
-          }
-          break;  // top applicable program per example
-        }
+      // Top applicable program per example.
+      auto single =
+          induction::FirstProgramOutput(example, source, options_.induction);
+      if (single && single->score > best_score) {
+        best_score = single->score;
+        best_output = std::move(single->output);
       }
     }
     if (!best_output.empty()) {

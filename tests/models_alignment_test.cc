@@ -379,10 +379,13 @@ void ExpectParity(const std::vector<ExamplePair>& examples,
   }
 }
 
-std::vector<std::vector<ExamplePair>> WebTableContexts() {
-  RealWorldOptions opts;
+Dataset WebTables() {
   Rng rng(7);
-  Dataset wt = MakeWebTables(opts, &rng);
+  return MakeWebTables(RealWorldOptions{}, &rng);
+}
+
+std::vector<std::vector<ExamplePair>> WebTableContexts() {
+  const Dataset wt = WebTables();
   std::vector<std::vector<ExamplePair>> contexts;
   for (const auto& table : wt.tables) {
     std::vector<ExamplePair> context;
@@ -444,6 +447,128 @@ TEST(SynthesisParityTest, EmptyTarget) {
   EXPECT_TRUE(SynthesizeCommonPrograms({{"abc", ""}, {"de", "d"}},
                                        DefaultCfg())
                   .empty());
+}
+
+// FirstProgramOutput / FirstCommonProgramOutput against the first program of
+// the materialized list whose output on the source is non-empty: the same
+// output and a bit-identical score, or nullopt from both.
+std::optional<ProgramOutput> FirstInList(const std::vector<AtomProgram>& list,
+                                         const TokenCache& source) {
+  for (const auto& program : list) {
+    auto out = program.Apply(source);
+    if (out && !out->empty()) return ProgramOutput{*out, program.score};
+  }
+  return std::nullopt;
+}
+
+void ExpectSameFirst(const std::optional<ProgramOutput>& got,
+                     const std::optional<ProgramOutput>& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << what;
+  if (!want) return;
+  EXPECT_EQ(got->output, want->output) << what;
+  EXPECT_EQ(got->score, want->score) << what;
+}
+
+void ExpectFirstParity(const std::vector<ExamplePair>& examples,
+                       const std::string& source_text,
+                       const InductionConfig& cfg, const std::string& what) {
+  const TokenCache source(source_text, cfg.separators);
+  const std::string on = " on \"" + source_text + "\"";
+  for (size_t i = 0; i < examples.size(); ++i) {
+    ExpectSameFirst(FirstProgramOutput(examples[i], source, cfg),
+                    FirstInList(SynthesizePrograms(examples[i], cfg), source),
+                    what + " single " + std::to_string(i) + on);
+  }
+  for (size_t n = 2; n <= examples.size(); ++n) {
+    std::vector<ExamplePair> context(examples.begin(), examples.begin() + n);
+    ExpectSameFirst(
+        FirstCommonProgramOutput(context, source, cfg),
+        FirstInList(SynthesizeCommonPrograms(context, cfg), source),
+        what + " common " + std::to_string(n) + on);
+  }
+}
+
+TEST(FirstProgramOutputTest, WebTablesMatchList) {
+  // 3-example contexts; the sources are other rows of the same table, plus
+  // their first character and the empty string, on which clamped copies
+  // yield "" and the walk has to skip, key and count programs.
+  const Dataset wt = WebTables();
+  for (size_t t = 0; t < wt.tables.size(); ++t) {
+    const TablePair& table = wt.tables[t];
+    ASSERT_GE(table.num_rows(), 5u);
+    const std::vector<ExamplePair> context = {
+        {table.source[0], table.target[0]},
+        {table.source[1], table.target[1]},
+        {table.source[2], table.target[2]}};
+    const std::string what = "table " + std::to_string(t);
+    for (size_t r = 3; r < 5; ++r) {
+      ExpectFirstParity(context, table.source[r], DefaultCfg(), what);
+    }
+    ExpectFirstParity(context, table.source[3].substr(0, 1), DefaultCfg(),
+                      what);
+    ExpectFirstParity(context, "", DefaultCfg(), what);
+  }
+}
+
+TEST(FirstProgramOutputTest, ThirdExampleRejectsTopPrograms) {
+  // "Copy token 1" explains the first two examples but not the third, whose
+  // last token is its third.
+  const std::vector<ExamplePair> context = {{"John Smith", "Smith"},
+                                            {"Alice Walker", "Walker"},
+                                            {"Mary Ann Lee", "Lee"}};
+  ExpectFirstParity(context, "Maria Garcia", DefaultCfg(), "last token");
+  const TokenCache source("Anna Maria Garcia", DefaultCfg().separators);
+  auto two = FirstCommonProgramOutput({context[0], context[1]}, source,
+                                      DefaultCfg());
+  ASSERT_TRUE(two.has_value());
+  EXPECT_EQ(two->output, "Maria");
+  auto first = FirstCommonProgramOutput(context, source, DefaultCfg());
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->output, "Garcia");
+}
+
+TEST(FirstProgramOutputTest, EmptyTarget) {
+  const TokenCache source("xyz", DefaultCfg().separators);
+  EXPECT_FALSE(FirstProgramOutput({"abc", ""}, source, DefaultCfg()));
+  EXPECT_FALSE(FirstCommonProgramOutput({{"abc", ""}, {"de", "d"}}, source,
+                                        DefaultCfg()));
+  EXPECT_FALSE(FirstCommonProgramOutput({{"de", "d"}, {"abc", ""}}, source,
+                                        DefaultCfg()));
+  EXPECT_FALSE(FirstCommonProgramOutput({}, source, DefaultCfg()));
+  ExpectFirstParity({{"abc", ""}, {"de", "d"}}, "xyz", DefaultCfg(), "empty");
+}
+
+TEST(FirstProgramOutputTest, OneCharacterSourceSkipsClampedPrograms) {
+  const ExamplePair ex{"Justin Trudeau", "trudeau"};
+  const TokenCache source("x", DefaultCfg().separators);
+  // The best program copies token 1, which "x" does not have.
+  const auto list = SynthesizePrograms(ex, DefaultCfg());
+  ASSERT_FALSE(list.empty());
+  ASSERT_EQ(list[0].Apply(source).value(), "");
+  ExpectFirstParity({ex, {"Kim Campbell", "campbell"}}, "x", DefaultCfg(),
+                    "one character");
+  auto first = FirstProgramOutput(ex, source, DefaultCfg());
+  ASSERT_TRUE(first.has_value());
+  EXPECT_FALSE(first->output.empty());
+}
+
+TEST(FirstProgramOutputTest, FirstApplicableBeyondCapIsNullopt) {
+  // On an empty source every copy yields ""; only programs with a literal
+  // apply, and the three best programs are pure copies.
+  const ExamplePair ex{"abc", "bc"};
+  const TokenCache source("", DefaultCfg().separators);
+  ASSERT_TRUE(FirstProgramOutput(ex, source, DefaultCfg()).has_value());
+  InductionConfig cfg;
+  cfg.max_programs = 3;
+  ASSERT_EQ(SynthesizePrograms(ex, cfg).size(), 3u);
+  EXPECT_FALSE(FirstInList(SynthesizePrograms(ex, cfg), source).has_value());
+  EXPECT_FALSE(FirstProgramOutput(ex, source, cfg).has_value());
+  const std::vector<ExamplePair> context = {ex, {"xbc", "bc"}};
+  ASSERT_TRUE(
+      FirstCommonProgramOutput(context, source, DefaultCfg()).has_value());
+  EXPECT_FALSE(FirstCommonProgramOutput(context, source, cfg).has_value());
+  ExpectFirstParity(context, "", cfg, "max_programs 3");
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+
+#include "data/realworld_datasets.h"
 #include "models/knowledge_lm.h"
 #include "models/neural_model.h"
 #include "models/noisy_model.h"
@@ -137,6 +141,41 @@ TEST(PatternInductionModelTest, EqualLengthGarbageTriggersReplaceDetector) {
       MakePrompt({{"abc", "xyz"}, {"def", "qqq"}}, "ad"));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), "xq");  // a->x, d->q from the learned map
+}
+
+// Output golden over WT-sim prompts: six 2-example contexts (the paper's
+// k=2), a 3-example context and a 1-example context per table. Noisy rows
+// send 76 of the 248 prompts to the single-example fallback. Any change to
+// what the model emits moves the digest.
+TEST(PatternInductionModelTest, WebTableOutputsMatchGolden) {
+  Rng rng(7);
+  const Dataset wt = MakeWebTables(RealWorldOptions{}, &rng);
+  ASSERT_EQ(wt.tables.size(), 31u);
+  PatternInductionModel model;
+  std::string outputs;
+  for (const auto& table : wt.tables) {
+    ASSERT_GE(table.num_rows(), 18u);
+    auto row = [&](size_t r) {
+      return ExamplePair{table.source[r], table.target[r]};
+    };
+    std::vector<Prompt> batch;
+    for (size_t i = 0; i < 6; ++i) {
+      batch.push_back(
+          MakePrompt({row(2 * i), row(2 * i + 1)}, table.source[12 + i]));
+    }
+    batch.push_back(MakePrompt({row(0), row(1), row(2)}, table.source[12]));
+    batch.push_back(MakePrompt({row(3)}, table.source[13]));
+    for (const auto& prompt : batch) {
+      auto r = model.Transform(prompt);
+      ASSERT_TRUE(r.ok());
+      outputs += r.value();
+      outputs += '\n';
+    }
+  }
+  char digest[17];
+  std::snprintf(digest, sizeof(digest), "%016" PRIx64,
+                Rng::HashString(outputs));
+  EXPECT_EQ(std::string(digest), "4bd3e949b64f993f");
 }
 
 TEST(KnowledgeLMTest, NaturalnessHighOnNames) {
