@@ -13,6 +13,7 @@
 #include "core/joiner.h"
 #include "io/model_artifact.h"
 #include "models/alignment.h"
+#include "models/pattern_induction.h"
 #include "nn/checkpoint.h"
 #include "nn/trainer.h"
 #include "obs/metrics.h"
@@ -138,6 +139,29 @@ void BM_FirstCommonProgramOutput(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FirstCommonProgramOutput);
+
+// The simulated DTT model's single-example fallback once both context
+// examples are in its memo: each example's cached programs run on the input
+// row, and the best-scoring output wins, with no search.
+void BM_FallbackMemoHit(benchmark::State& state) {
+  induction::InductionConfig cfg;
+  FallbackMemo memo(cfg);
+  const std::vector<ExamplePair> examples = {kWebRow1, kWebRow2};
+  const induction::TokenCache source("Stephen Joseph Harper, Calgary AB",
+                                     cfg.separators);
+  for (const ExamplePair& example : examples) {
+    memo.FirstProgramOutput(example, source);  // the misses that fill it
+  }
+  for (auto _ : state) {
+    double best_score = -1e18;
+    for (const ExamplePair& example : examples) {
+      auto single = memo.FirstProgramOutput(example, source);
+      if (single && single->score > best_score) best_score = single->score;
+    }
+    benchmark::DoNotOptimize(best_score);
+  }
+}
+BENCHMARK(BM_FallbackMemoHit);
 
 void BM_Aggregate(benchmark::State& state) {
   Aggregator agg;

@@ -1,6 +1,11 @@
 #include "models/pattern_induction.h"
 
+#include <algorithm>
+#include <functional>
+#include <utility>
+
 #include "models/noisy_model.h"
+#include "obs/metrics.h"
 
 namespace dtt {
 
@@ -42,10 +47,84 @@ std::string LossyReverse(const std::string& exact, double fidelity, Rng* rng) {
   return out;
 }
 
+// Process-wide fallback-memo counters, resolved once. Purely observational.
+struct MemoMetrics {
+  obs::Counter* hits;
+  obs::Counter* misses;
+  obs::Counter* evictions;
+  static const MemoMetrics& Get() {
+    static const MemoMetrics m{
+        obs::GlobalMetrics().GetCounter("models.induction.memo_hits"),
+        obs::GlobalMetrics().GetCounter("models.induction.memo_misses"),
+        obs::GlobalMetrics().GetCounter("models.induction.memo_evictions"),
+    };
+    return m;
+  }
+};
+
 }  // namespace
 
+FallbackMemo::FallbackMemo(induction::InductionConfig cfg)
+    : cfg_(std::move(cfg)) {}
+
+size_t FallbackMemo::ExampleHash::operator()(
+    const ExamplePair& example) const {
+  const std::hash<std::string> hash;
+  return hash(example.source) * 31 + hash(example.target);
+}
+
+std::optional<induction::ProgramOutput> FallbackMemo::FirstProgramOutput(
+    const ExamplePair& example, const induction::TokenCache& source) {
+  const MemoMetrics& metrics = MemoMetrics::Get();
+  std::shared_ptr<const Entry> entry = Find(example);
+  if (entry) {
+    metrics.hits->Increment();
+  } else {
+    metrics.misses->Increment();
+    // A lower cap on distinct programs only ends the same walk sooner, so
+    // this is a prefix of the list FirstProgramOutput walks.
+    const int cap = static_cast<int>(kPrograms);
+    induction::InductionConfig top = cfg_;
+    top.max_programs = std::min(cfg_.max_programs, cap);
+    auto fresh = std::make_shared<Entry>();
+    fresh->programs = induction::SynthesizePrograms(example, top);
+    fresh->complete =
+        fresh->programs.size() < kPrograms || cfg_.max_programs <= cap;
+    entry = fresh;
+    Insert(example, std::move(fresh));
+  }
+  for (const auto& program : entry->programs) {
+    std::optional<std::string> out = program.Apply(source);
+    if (out && !out->empty()) {
+      return induction::ProgramOutput{std::move(*out), program.score};
+    }
+  }
+  if (entry->complete) return std::nullopt;
+  return induction::FirstProgramOutput(example, source, cfg_);
+}
+
+std::shared_ptr<const FallbackMemo::Entry> FallbackMemo::Find(
+    const ExamplePair& example) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(example);
+  return it == entries_.end() ? nullptr : it->second;
+}
+
+void FallbackMemo::Insert(const ExamplePair& example,
+                          std::shared_ptr<const Entry> entry) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Another thread may have computed the same entry meanwhile.
+  if (!entries_.emplace(example, std::move(entry)).second) return;
+  order_.push_back(example);
+  if (order_.size() > kCapacity) {
+    entries_.erase(order_.front());
+    order_.pop_front();
+    MemoMetrics::Get().evictions->Increment();
+  }
+}
+
 PatternInductionModel::PatternInductionModel(PatternInductionOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)), fallback_memo_(options_.induction) {}
 
 Result<std::string> PatternInductionModel::Transform(const Prompt& prompt) {
   if (prompt.examples.empty()) {
@@ -111,13 +190,14 @@ Result<std::string> PatternInductionModel::Transform(const Prompt& prompt) {
   // a random-garbage target only admits literal-stitched low-score programs.
   // This selection is what gives the framework its §5.10 noise robustness:
   // trials containing one clean example still vote for the right answer.
+  // The decomposer reuses each Se example across many prompts, so the
+  // per-example programs come from the memo.
   if (options_.fallback_single_example) {
     double best_score = -1e18;
     std::string best_output;
     for (const auto& example : prompt.examples) {
       // Top applicable program per example.
-      auto single =
-          induction::FirstProgramOutput(example, source, options_.induction);
+      auto single = fallback_memo_.FirstProgramOutput(example, source);
       if (single && single->score > best_score) {
         best_score = single->score;
         best_output = std::move(single->output);

@@ -1,7 +1,14 @@
 #ifndef DTT_MODELS_PATTERN_INDUCTION_H_
 #define DTT_MODELS_PATTERN_INDUCTION_H_
 
+#include <cstddef>
+#include <deque>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "data/knowledge_base.h"
 #include "models/alignment.h"
@@ -39,6 +46,49 @@ struct PatternInductionOptions {
   uint64_t seed = 0xD77;
 };
 
+/// The single-example fallback's memo. For each context example it keeps the
+/// first kPrograms distinct programs of SynthesizePrograms(example, cfg) and
+/// whether the list ends there. The decomposer draws every prompt's examples
+/// from one Se, so an example comes back in many prompts of its table, and a
+/// hit replaces a beam search by running at most kPrograms programs.
+///
+/// Bounded and thread-safe: at most kCapacity examples, the oldest insertion
+/// evicted first; lookups and insertions hold one mutex, and a missing entry
+/// is computed outside it. Only materialized programs are stored, never
+/// candidate tables or search arenas.
+class FallbackMemo {
+ public:
+  static constexpr size_t kPrograms = 4;
+  static constexpr size_t kCapacity = 256;
+
+  explicit FallbackMemo(induction::InductionConfig cfg);
+
+  /// Equals induction::FirstProgramOutput(example, source, cfg) bit for bit,
+  /// whatever the call history. The cached programs are a prefix of the list
+  /// that walk visits; when all of them are empty on `source` and the list
+  /// goes on, this calls FirstProgramOutput itself.
+  std::optional<induction::ProgramOutput> FirstProgramOutput(
+      const ExamplePair& example, const induction::TokenCache& source);
+
+ private:
+  struct Entry {
+    std::vector<induction::AtomProgram> programs;
+    bool complete = false;  // no program of the list follows `programs`
+  };
+  struct ExampleHash {
+    size_t operator()(const ExamplePair& example) const;
+  };
+
+  std::shared_ptr<const Entry> Find(const ExamplePair& example);
+  void Insert(const ExamplePair& example, std::shared_ptr<const Entry> entry);
+
+  const induction::InductionConfig cfg_;
+  std::mutex mu_;
+  std::unordered_map<ExamplePair, std::shared_ptr<const Entry>, ExampleHash>
+      entries_;
+  std::deque<ExamplePair> order_;  // keys of entries_, oldest first
+};
+
 /// Simulated fine-tuned ByT5: an example-driven character-level program
 /// synthesizer with the behavioural envelope of the paper's DTT model
 /// (DESIGN.md §1 documents the substitution).
@@ -49,14 +99,16 @@ class PatternInductionModel : public TextToTextModel {
   std::string name() const override { return "dtt"; }
   Result<std::string> Transform(const Prompt& prompt) override;
 
-  /// Transform derives its RNG purely from (seed, prompt) and keeps no
-  /// mutable state, so concurrent calls are safe and deterministic.
+  /// Transform derives its RNG purely from (seed, prompt). Its only mutable
+  /// state is the mutex-guarded fallback memo, which never changes an
+  /// output, so concurrent calls are safe and deterministic.
   bool thread_safe() const override { return true; }
 
   const PatternInductionOptions& options() const { return options_; }
 
  private:
   PatternInductionOptions options_;
+  FallbackMemo fallback_memo_;
 };
 
 }  // namespace dtt

@@ -2,12 +2,14 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <thread>
 
 #include "data/realworld_datasets.h"
 #include "models/knowledge_lm.h"
 #include "models/neural_model.h"
 #include "models/noisy_model.h"
 #include "models/pattern_induction.h"
+#include "obs/metrics.h"
 #include "util/edit_distance.h"
 
 namespace dtt {
@@ -176,6 +178,192 @@ TEST(PatternInductionModelTest, WebTableOutputsMatchGolden) {
   std::snprintf(digest, sizeof(digest), "%016" PRIx64,
                 Rng::HashString(outputs));
   EXPECT_EQ(std::string(digest), "4bd3e949b64f993f");
+}
+
+// FallbackMemo against the uncached search: the same output and a
+// bit-identical score, or nullopt from both.
+struct FallbackCall {
+  ExamplePair example;
+  std::string source;
+};
+
+void ExpectMemoMatches(FallbackMemo* memo, const FallbackCall& call,
+                       const induction::InductionConfig& cfg,
+                       const std::string& what) {
+  const induction::TokenCache source(call.source, cfg.separators);
+  auto got = memo->FirstProgramOutput(call.example, source);
+  auto want = induction::FirstProgramOutput(call.example, source, cfg);
+  const std::string on = what + ": \"" + call.example.source + "\" -> \"" +
+                         call.example.target + "\" on \"" + call.source +
+                         "\"";
+  ASSERT_EQ(got.has_value(), want.has_value()) << on;
+  if (!want) return;
+  EXPECT_EQ(got->output, want->output) << on;
+  EXPECT_EQ(got->score, want->score) << on;
+}
+
+uint64_t MemoCounter(const char* name) {
+  return obs::GlobalMetrics().GetCounter(name)->Value();
+}
+
+// Per WT-sim table: its first six rows as context examples, each applied to
+// two later rows, to the first character of one and to the empty string.
+// Clamped copies yield "" on the short sources.
+std::vector<FallbackCall> WebTableFallbackCalls() {
+  Rng rng(7);
+  const Dataset wt = MakeWebTables(RealWorldOptions{}, &rng);
+  std::vector<FallbackCall> calls;
+  for (const auto& table : wt.tables) {
+    for (size_t r = 0; r < 6; ++r) {
+      const ExamplePair example{table.source[r], table.target[r]};
+      for (const std::string& source :
+           {table.source[6 + r], table.source[12 + r],
+            table.source[6 + r].substr(0, 1), std::string()}) {
+        calls.push_back({example, source});
+      }
+    }
+  }
+  return calls;
+}
+
+TEST(FallbackMemoTest, WebTablesMatchFirstProgramOutput) {
+  const auto calls = WebTableFallbackCalls();
+  ASSERT_EQ(calls.size(), 31u * 6 * 4);
+  const induction::InductionConfig cfg;
+  FallbackMemo memo(cfg);
+  const uint64_t hits = MemoCounter("models.induction.memo_hits");
+  const uint64_t misses = MemoCounter("models.induction.memo_misses");
+  for (const auto& call : calls) ExpectMemoMatches(&memo, call, cfg, "WT");
+  // One miss per distinct example, then hits for its other sources.
+  EXPECT_EQ(MemoCounter("models.induction.memo_misses") - misses, 31u * 6);
+  EXPECT_EQ(MemoCounter("models.induction.memo_hits") - hits, 31u * 6 * 3);
+}
+
+TEST(FallbackMemoTest, AllCachedProgramsEmptyRunsTheSearch) {
+  // On a 1-character or empty source the best programs are clamped copies
+  // that yield "", so the memo's prefix holds no answer and the uncached
+  // search runs: it finds a program further down the list for the first two
+  // calls and none for the third.
+  const induction::InductionConfig cfg;
+  const std::vector<FallbackCall> calls = {
+      {{"$5,278.99", "5"}, "$"},
+      {{"abc", "bc"}, ""},
+      {{"Justin Trudeau", "trudeau"}, ""}};
+  for (const auto& call : calls) {
+    const auto list = induction::SynthesizePrograms(call.example, cfg);
+    ASSERT_GT(list.size(), FallbackMemo::kPrograms) << call.example.source;
+    for (size_t i = 0; i < FallbackMemo::kPrograms; ++i) {
+      ASSERT_EQ(list[i].Apply(call.source, cfg.separators).value(), "")
+          << call.example.source << " program " << i;
+    }
+  }
+  FallbackMemo memo(cfg);
+  for (int round = 0; round < 2; ++round) {  // a miss, then a hit
+    for (const auto& call : calls) {
+      ExpectMemoMatches(&memo, call, cfg, "clamped");
+      const induction::TokenCache source(call.source, cfg.separators);
+      EXPECT_EQ(memo.FirstProgramOutput(call.example, source).has_value(),
+                &call != &calls.back());
+    }
+  }
+}
+
+TEST(FallbackMemoTest, MaxProgramsAtOrBelowPrefix) {
+  const auto calls = WebTableFallbackCalls();
+  for (int max_programs : {1, 3, 4}) {
+    induction::InductionConfig cfg;
+    cfg.max_programs = max_programs;
+    FallbackMemo memo(cfg);
+    const std::string what = "max_programs " + std::to_string(max_programs);
+    for (size_t i = 0; i < calls.size(); i += 5) {
+      ExpectMemoMatches(&memo, calls[i], cfg, what);
+    }
+    // The first program that applies lies beyond the cap: nullopt.
+    ExpectMemoMatches(&memo, {{"abc", "bc"}, ""}, cfg, what);
+  }
+}
+
+TEST(FallbackMemoTest, EmptyTarget) {
+  const induction::InductionConfig cfg;
+  FallbackMemo memo(cfg);
+  for (int round = 0; round < 2; ++round) {
+    for (const char* source : {"xyz", "x", ""}) {
+      ExpectMemoMatches(&memo, {{"abc", ""}, source}, cfg, "empty target");
+      const induction::TokenCache cache(source, cfg.separators);
+      EXPECT_FALSE(memo.FirstProgramOutput({"abc", ""}, cache).has_value());
+    }
+  }
+}
+
+TEST(FallbackMemoTest, IndependentOfCallHistory) {
+  // The same calls forward, in reverse on the now warm memo, and forward
+  // again after more distinct examples than the capacity have churned
+  // through it: every pass gives the uncached outputs.
+  const auto calls = WebTableFallbackCalls();
+  const induction::InductionConfig cfg;
+  std::vector<FallbackCall> subset;
+  for (size_t i = 0; i < calls.size(); i += 7) subset.push_back(calls[i]);
+  FallbackMemo memo(cfg);
+  for (const auto& call : subset) ExpectMemoMatches(&memo, call, cfg, "fwd");
+  for (auto it = subset.rbegin(); it != subset.rend(); ++it) {
+    ExpectMemoMatches(&memo, *it, cfg, "reverse");
+  }
+  const uint64_t evictions = MemoCounter("models.induction.memo_evictions");
+  for (size_t i = 0; i < FallbackMemo::kCapacity + 20; ++i) {
+    const std::string id = std::to_string(i);
+    const induction::TokenCache source("q" + id, cfg.separators);
+    memo.FirstProgramOutput({"ab " + id, id + "-ab"}, source);
+  }
+  EXPECT_GE(MemoCounter("models.induction.memo_evictions") - evictions, 20u);
+  for (const auto& call : subset) ExpectMemoMatches(&memo, call, cfg, "churn");
+}
+
+// Four threads share one model (and so one fallback memo) over overlapping
+// WT-sim prompts; each must emit exactly what a single-threaded run emits.
+TEST(PatternInductionModelThreadingTest, ConcurrentTransformsMatchSerial) {
+  Rng rng(7);
+  const Dataset wt = MakeWebTables(RealWorldOptions{}, &rng);
+  std::vector<Prompt> prompts;
+  for (size_t t = 0; t < wt.tables.size(); t += 3) {
+    const TablePair& table = wt.tables[t];
+    auto row = [&](size_t r) {
+      return ExamplePair{table.source[r], table.target[r]};
+    };
+    for (size_t i = 0; i < 6; ++i) {
+      prompts.push_back(
+          MakePrompt({row(i % 4), row((i + 1) % 4)}, table.source[12 + i]));
+    }
+  }
+  std::vector<std::string> serial;
+  {
+    PatternInductionModel model;
+    for (const auto& prompt : prompts) {
+      auto r = model.Transform(prompt);
+      ASSERT_TRUE(r.ok());
+      serial.push_back(r.value());
+    }
+  }
+  PatternInductionModel shared;
+  const uint64_t hits = MemoCounter("models.induction.memo_hits");
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<std::string>> outputs(
+      kThreads, std::vector<std::string>(prompts.size()));
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      // Each thread starts at a different prompt, so they race on entries.
+      for (size_t k = 0; k < prompts.size(); ++k) {
+        const size_t i = (k + w * prompts.size() / kThreads) % prompts.size();
+        auto r = shared.Transform(prompts[i]);
+        outputs[w][i] = r.ok() ? r.value() : "<error>";
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_GT(MemoCounter("models.induction.memo_hits"), hits);
+  for (size_t w = 0; w < kThreads; ++w) {
+    EXPECT_EQ(outputs[w], serial) << "thread " << w;
+  }
 }
 
 TEST(KnowledgeLMTest, NaturalnessHighOnNames) {
