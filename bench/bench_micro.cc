@@ -359,6 +359,43 @@ void BM_BeamDecodeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_BeamDecodeBatch)->Arg(1)->Arg(4);
 
+// One DecodeSession::Step over `slots` resident sequences in steady state,
+// the step a continuous backend runs at the perfbench model shape: <eos> is
+// suppressed (as perfbench does) so every sequence runs its 24-token budget,
+// the first fill gets staggered budgets so the slots' prefix lengths stay
+// spread, and each sequence that finishes is released and its slot
+// re-admitted with a pre-encoded prompt, so every timed step advances a
+// full batch.
+void BM_DecodeSessionStep(benchmark::State& state) {
+  Rng rng(19);
+  nn::Transformer model(EncoderBenchConfig(), &rng);
+  for (auto& p : model.Params()) {
+    if (p.name == "model.lm_head.bias") {
+      p.var.mutable_value().data()[Vocab::kEos] -= 1e4f;
+    }
+  }
+  const int slots = static_cast<int>(state.range(0));
+  const int budget = 24;
+  auto session = model.NewDecodeSession({slots, budget});
+  std::vector<std::shared_ptr<const nn::EncodedPrompt>> encoded;
+  for (const auto& prompt : EncoderBenchPrompts(2 * slots)) {
+    encoded.push_back(session->Encode(prompt));
+  }
+  size_t next = 0;
+  for (int s = 0; s < slots; ++s) {
+    session->Install(*encoded[next++ % encoded.size()],
+                     1 + s * budget / slots);
+  }
+  for (auto _ : state) {
+    for (int handle : session->Step()) {
+      session->Release(handle);
+      session->Install(*encoded[next++ % encoded.size()]);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * slots);
+}
+BENCHMARK(BM_DecodeSessionStep)->Arg(8);
+
 // The observability fast paths themselves: a disabled TraceSpan must cost
 // about one relaxed atomic load (this is the bench-level view of the <1%
 // decode-overhead contract; the hard guard is ObsTraceTest.

@@ -9,9 +9,10 @@
 //     ids share one encoder pass and one cross-attention K/V projection —
 //     encoder-memory reuse across trials sharing a context),
 //   * projects the cross-attention keys/values once per layer,
-//   * advances every live hypothesis of every prompt as one batch per step
-//     through the incremental decoder kernels (nn/infer_internal.h), each
-//     hypothesis owning a self-attention KV-cache slot,
+//   * advances every live hypothesis of every prompt as one batch of rows
+//     per step through Transformer::DecodeStepRows (the decoder step the
+//     greedy DecodeSession shares), each hypothesis owning a self-attention
+//     KV-cache slot,
 //   * and, after the per-prompt top-k prune/rerank, gathers each surviving
 //     hypothesis's KV prefix into a fresh slot by parent beam index
 //     (gather-on-beam-index), since several children may extend one parent.
@@ -41,8 +42,6 @@ namespace nn {
 namespace {
 
 using internal::AffineRows;
-using internal::AttendRows;
-using internal::LayerNormRows;
 
 // One live or finished hypothesis. `ids` includes <sos>; `slot` is the
 // KV-cache slot in the current (front) buffers, -1 once the hypothesis is
@@ -144,29 +143,27 @@ std::vector<std::vector<int>> Transformer::BeamDecodeBatch(
         Hyp{{Vocab::kSos}, 0.0, false, p * width});
   }
 
-  // Flat batch-row bookkeeping, rebuilt each step.
-  std::vector<int> row_prompt, row_hyp;
-  std::vector<size_t> self_bases, cross_bases;
-  std::vector<int> self_lens, cross_lens;
-  std::vector<float> scores_buf;
-  Tensor x, n, q, k, v, ctx, attn_out, h1, h2, ff_mid, ff_out, logits;
-  const Tensor& embed = embedding_.weight_value();
+  // One batch row per live hypothesis, rebuilt each step.
+  internal::DecodeScratch scratch;
+  scratch.layers.resize(decoder_.size());
 
   int steps_run = 0;
-  for (int step = 0; step < max_steps && step < cap; ++step) {
-    // Collect the live hypotheses, in (prompt, beam) order, as batch rows.
-    row_prompt.clear();
-    row_hyp.clear();
+  for (int step = 0; step < cap; ++step) {
+    // Collect the live hypotheses, in (prompt, beam) order: each feeds its
+    // newest token at position `step` and attends over its prompt's memory.
+    scratch.ClearRows();
     for (int p = 0; p < num_prompts; ++p) {
-      const auto& prompt_beams = beams[static_cast<size_t>(p)];
-      for (size_t h = 0; h < prompt_beams.size(); ++h) {
-        if (!prompt_beams[h].done) {
-          row_prompt.push_back(p);
-          row_hyp.push_back(static_cast<int>(h));
-        }
+      const size_t u =
+          static_cast<size_t>(prompt_uniq[static_cast<size_t>(p)]);
+      for (const Hyp& hyp : beams[static_cast<size_t>(p)]) {
+        if (hyp.done) continue;
+        scratch.AddRow(hyp.ids.back(), step,
+                       static_cast<size_t>(hyp.slot) * self_stride,
+                       static_cast<size_t>(offsets[u]) * d,
+                       offsets[u + 1] - offsets[u]);
       }
     }
-    const int rows = static_cast<int>(row_prompt.size());
+    const int rows = scratch.rows();
     if (rows == 0) break;
     ++steps_run;
     obs::TraceSpan step_span("nn", "nn.beam_step");
@@ -174,76 +171,13 @@ std::vector<std::vector<int>> Transformer::BeamDecodeBatch(
       step_span.Arg("step", static_cast<int64_t>(step));
       step_span.Arg("rows", static_cast<int64_t>(rows));
     }
-
-    self_bases.resize(static_cast<size_t>(rows));
-    cross_bases.resize(static_cast<size_t>(rows));
-    self_lens.assign(static_cast<size_t>(rows), step + 1);
-    cross_lens.resize(static_cast<size_t>(rows));
-    x = Tensor({rows, d});
-    for (int r = 0; r < rows; ++r) {
-      const Hyp& hyp = beams[static_cast<size_t>(row_prompt[static_cast<size_t>(
-          r)])][static_cast<size_t>(row_hyp[static_cast<size_t>(r)])];
-      self_bases[static_cast<size_t>(r)] =
-          static_cast<size_t>(hyp.slot) * self_stride;
-      const size_t u = static_cast<size_t>(
-          prompt_uniq[static_cast<size_t>(row_prompt[static_cast<size_t>(r)])]);
-      cross_bases[static_cast<size_t>(r)] =
-          static_cast<size_t>(offsets[u]) * d;
-      cross_lens[static_cast<size_t>(r)] = offsets[u + 1] - offsets[u];
-      // Embed the hypothesis's newest token at position `step`.
-      const float* erow =
-          embed.data() + static_cast<size_t>(hyp.ids.back()) * d;
-      float* xrow = x.data() + static_cast<size_t>(r) * d;
-      for (int j = 0; j < d; ++j) xrow[j] = erow[j] + positions_.at(step, j);
-    }
-
     for (size_t l = 0; l < decoder_.size(); ++l) {
-      const DecoderLayer& layer = *decoder_[l];
       BeamLayerState& state = layers[l];
-      Tensor& self_k = state.self_k[front];
-      Tensor& self_v = state.self_v[front];
-      // Self-attention over the cached prefix (positions 0..step).
-      LayerNormRows(x, layer.ln1(), &n);
-      AffineRows(n, layer.self_attn().wq(), &q);
-      AffineRows(n, layer.self_attn().wk(), &k);
-      AffineRows(n, layer.self_attn().wv(), &v);
-      for (int r = 0; r < rows; ++r) {
-        float* kdst = self_k.data() + self_bases[static_cast<size_t>(r)] +
-                      static_cast<size_t>(step) * d;
-        float* vdst = self_v.data() + self_bases[static_cast<size_t>(r)] +
-                      static_cast<size_t>(step) * d;
-        const float* krow = k.data() + static_cast<size_t>(r) * d;
-        const float* vrow = v.data() + static_cast<size_t>(r) * d;
-        std::memcpy(kdst, krow, sizeof(float) * static_cast<size_t>(d));
-        std::memcpy(vdst, vrow, sizeof(float) * static_cast<size_t>(d));
-      }
-      AttendRows(q, layer.self_attn(), self_k.data(), self_v.data(),
-                 self_bases, self_lens, &ctx, &scores_buf);
-      AffineRows(ctx, layer.self_attn().wo(), &attn_out);
-      h1 = x;
-      h1.AddInPlace(attn_out);
-      // Cross-attention over the shared encoder memory of this prompt.
-      LayerNormRows(h1, layer.ln2(), &n);
-      AffineRows(n, layer.cross_attn().wq(), &q);
-      AttendRows(q, layer.cross_attn(), state.cross_k.data(),
-                 state.cross_v.data(), cross_bases, cross_lens, &ctx,
-                 &scores_buf);
-      AffineRows(ctx, layer.cross_attn().wo(), &attn_out);
-      h2 = h1;
-      h2.AddInPlace(attn_out);
-      // Position-wise feed-forward.
-      LayerNormRows(h2, layer.ln3(), &n);
-      AffineRows(n, layer.ff().in_linear(), &ff_mid);
-      for (size_t i = 0; i < ff_mid.size(); ++i) {
-        if (ff_mid.data()[i] < 0.0f) ff_mid.data()[i] = 0.0f;
-      }
-      AffineRows(ff_mid, layer.ff().out_linear(), &ff_out);
-      x = h2;
-      x.AddInPlace(ff_out);
+      scratch.layers[l] = {state.self_k[front].data(),
+                           state.self_v[front].data(), state.cross_k.data(),
+                           state.cross_v.data()};
     }
-
-    LayerNormRows(x, final_ln_, &n);
-    AffineRows(n, lm_head_, &logits);  // [rows, V]
+    const Tensor& logits = DecodeStepRows(&scratch);  // [rows, V]
     const int vocab = logits.cols();
 
     // Per-prompt expansion + prune, replicating the legacy BeamDecode

@@ -1,12 +1,11 @@
-// The step-resumable decode engine behind continuous (token-level) batching.
+// The greedy decode engine: Transformer::GenerateBatch (a session sized to
+// its batch) and the serve layer's continuous (token-level) batching.
 //
-// This is Transformer::GenerateBatch with its incremental state made
-// explicit and persistent: the same row-wise kernels (nn/infer_internal.h),
-// the same accumulation order, the same embed/attend/argmax step — but
-// sequences occupy stable KV-cache slots they can enter and leave mid-loop,
-// each carrying its own decoder position and step budget. Because every
-// kernel is row-wise, a sequence's tokens never depend on its batch-mates,
-// which is what makes the serve layer's continuous batcher bit-identical to
+// Sequences occupy stable KV-cache slots they can enter and leave mid-loop,
+// each carrying its own decoder position and step budget; every step feeds
+// the live slots as rows of the shared Transformer::DecodeStepRows. Because
+// every kernel is row-wise, a sequence's tokens never depend on its
+// batch-mates, which is what makes the continuous batcher bit-identical to
 // the run-to-completion path for every admission schedule
 // (nn_decode_session_test, serve_continuous_test).
 #include "nn/decode_session.h"
@@ -30,8 +29,6 @@ namespace nn {
 namespace {
 
 using internal::AffineRows;
-using internal::AttendRows;
-using internal::LayerNormRows;
 
 // Process-wide session counters, resolved once (see infer.cc).
 struct SessionMetrics {
@@ -64,7 +61,7 @@ DecodeSession::DecodeSession(const Transformer* model,
   max_slots_ = std::max(1, options_.max_slots);
   options_.max_steps = std::max(1, options_.max_steps);
   // Decoder positions are bounded by both the step budget and the model's
-  // hard length limit, exactly as in GenerateBatch (<sos> is position 0).
+  // hard length limit (<sos> is position 0).
   cap_ = std::min(options_.max_steps + 1, cfg.max_len);
   mem_cap_ = cfg.max_len;
   d_ = cfg.dim;
@@ -74,6 +71,12 @@ DecodeSession::DecodeSession(const Transformer* model,
     layer.self_v = Tensor({max_slots_, cap_, d_});
     layer.cross_k = Tensor({max_slots_, mem_cap_, d_});
     layer.cross_v = Tensor({max_slots_, mem_cap_, d_});
+  }
+  // The caches never reallocate, so every step reuses these pointers.
+  scratch_ = std::make_unique<internal::DecodeScratch>();
+  for (LayerState& layer : layers_) {
+    scratch_->layers.push_back({layer.self_k.data(), layer.self_v.data(),
+                                layer.cross_k.data(), layer.cross_v.data()});
   }
   slots_.resize(static_cast<size_t>(max_slots_));
   free_handles_.reserve(static_cast<size_t>(max_slots_));
@@ -105,10 +108,10 @@ void DecodeSession::FreePhys(int phys) {
 
 std::vector<std::shared_ptr<const EncodedPrompt>> DecodeSession::EncodeGroup(
     const std::vector<std::vector<int>>& inputs) const {
-  // One encoder pass over the whole group, packed without padding — the
-  // encoder GenerateBatch runs, so each prompt's memory rows are
-  // bit-identical however the group is composed. The row-wise projection
-  // then gives each prompt exactly the cross K/V a group of one would.
+  // One encoder pass over the whole group, packed without padding, so each
+  // prompt's memory rows are bit-identical however the group is composed.
+  // The row-wise projection then gives each prompt exactly the cross K/V a
+  // group of one would.
   std::vector<int> offsets;
   const Tensor memory = model_->EncodeRows(inputs, &offsets);
   std::vector<std::shared_ptr<EncodedPrompt>> encoded(inputs.size());
@@ -220,86 +223,23 @@ std::vector<int> DecodeSession::Step() {
       static_cast<size_t>(cap_) * static_cast<size_t>(d_);
   const size_t cross_stride =
       static_cast<size_t>(mem_cap_) * static_cast<size_t>(d_);
-  self_bases_.resize(static_cast<size_t>(rows));
-  cross_bases_.resize(static_cast<size_t>(rows));
-  self_lens_.resize(static_cast<size_t>(rows));
-  cross_lens_.resize(static_cast<size_t>(rows));
-  x_ = Tensor({rows, d_});
-  const Tensor& embed = model_->embedding_.weight_value();
-  for (int r = 0; r < rows; ++r) {
-    const Slot& slot = slots_[static_cast<size_t>(live_[static_cast<size_t>(r)])];
-    self_bases_[static_cast<size_t>(r)] =
-        static_cast<size_t>(slot.phys) * self_stride;
-    cross_bases_[static_cast<size_t>(r)] =
-        static_cast<size_t>(slot.phys) * cross_stride;
-    // Attend over the slot's own prefix (positions 0..fed) — each sequence
-    // carries its own decoder position, unlike GenerateBatch's shared step.
-    self_lens_[static_cast<size_t>(r)] = slot.fed + 1;
-    cross_lens_[static_cast<size_t>(r)] = slot.mem_len;
-    // Embed the slot's current token at its own position.
-    const float* erow =
-        embed.data() + static_cast<size_t>(slot.cur_token) * d_;
-    float* xrow = x_.data() + static_cast<size_t>(r) * d_;
-    for (int j = 0; j < d_; ++j) {
-      xrow[j] = erow[j] + model_->positions_.at(slot.fed, j);
-    }
+  internal::DecodeScratch& scratch = *scratch_;
+  scratch.ClearRows();
+  for (int handle : live_) {
+    // Each slot feeds its current token at its own decoder position.
+    const Slot& slot = slots_[static_cast<size_t>(handle)];
+    const size_t phys = static_cast<size_t>(slot.phys);
+    scratch.AddRow(slot.cur_token, slot.fed, phys * self_stride,
+                   phys * cross_stride, slot.mem_len);
   }
-
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    const DecoderLayer& layer = *model_->decoder_[l];
-    LayerState& state = layers_[l];
-    // Self-attention over each slot's cached prefix.
-    LayerNormRows(x_, layer.ln1(), &n_);
-    AffineRows(n_, layer.self_attn().wq(), &q_);
-    AffineRows(n_, layer.self_attn().wk(), &k_);
-    AffineRows(n_, layer.self_attn().wv(), &v_);
-    for (int r = 0; r < rows; ++r) {
-      const Slot& slot =
-          slots_[static_cast<size_t>(live_[static_cast<size_t>(r)])];
-      float* kdst = state.self_k.data() + self_bases_[static_cast<size_t>(r)] +
-                    static_cast<size_t>(slot.fed) * d_;
-      float* vdst = state.self_v.data() + self_bases_[static_cast<size_t>(r)] +
-                    static_cast<size_t>(slot.fed) * d_;
-      std::memcpy(kdst, k_.data() + static_cast<size_t>(r) * d_,
-                  sizeof(float) * static_cast<size_t>(d_));
-      std::memcpy(vdst, v_.data() + static_cast<size_t>(r) * d_,
-                  sizeof(float) * static_cast<size_t>(d_));
-    }
-    AttendRows(q_, layer.self_attn(), state.self_k.data(), state.self_v.data(),
-               self_bases_, self_lens_, &ctx_, &scores_buf_);
-    AffineRows(ctx_, layer.self_attn().wo(), &attn_out_);
-    h1_ = x_;
-    h1_.AddInPlace(attn_out_);
-    // Cross-attention over the slot's valid encoder memory rows.
-    LayerNormRows(h1_, layer.ln2(), &n_);
-    AffineRows(n_, layer.cross_attn().wq(), &q_);
-    AttendRows(q_, layer.cross_attn(), state.cross_k.data(),
-               state.cross_v.data(), cross_bases_, cross_lens_, &ctx_,
-               &scores_buf_);
-    AffineRows(ctx_, layer.cross_attn().wo(), &attn_out_);
-    h2_ = h1_;
-    h2_.AddInPlace(attn_out_);
-    // Position-wise feed-forward.
-    LayerNormRows(h2_, layer.ln3(), &n_);
-    AffineRows(n_, layer.ff().in_linear(), &ff_mid_);
-    for (size_t i = 0; i < ff_mid_.size(); ++i) {
-      if (ff_mid_.data()[i] < 0.0f) ff_mid_.data()[i] = 0.0f;
-    }
-    AffineRows(ff_mid_, layer.ff().out_linear(), &ff_out_);
-    x_ = h2_;
-    x_.AddInPlace(ff_out_);
-  }
-
-  LayerNormRows(x_, model_->final_ln_, &n_);
-  AffineRows(n_, model_->lm_head_, &logits_);  // [rows, V]
+  const Tensor& logits = model_->DecodeStepRows(&scratch);  // [rows, V]
   for (int r = 0; r < rows; ++r) {
     const int handle = live_[static_cast<size_t>(r)];
     Slot& slot = slots_[static_cast<size_t>(handle)];
-    const float* row =
-        logits_.data() + static_cast<size_t>(r) * logits_.cols();
+    const float* row = logits.data() + static_cast<size_t>(r) * logits.cols();
     int best = 0;
     float best_v = row[0];
-    for (int j = 1; j < logits_.cols(); ++j) {
+    for (int j = 1; j < logits.cols(); ++j) {
       if (row[j] > best_v) {
         best_v = row[j];
         best = j;
@@ -311,9 +251,10 @@ std::vector<int> DecodeSession::Step() {
     } else {
       slot.out.push_back(best);
       slot.cur_token = best;
-      // Same stopping rules as GenerateBatch: the prefix may not outgrow
-      // the model's length limit, and the sequence stops at its budget.
-      done = slot.fed + 2 >= mem_cap_ ||
+      // GreedyDecode's stopping rules: the prefix (<sos> + output) may not
+      // outgrow the model's length limit, and the sequence stops at its
+      // budget.
+      done = slot.fed + 2 >= model_->cfg_.max_len ||
              static_cast<int>(slot.out.size()) >= slot.budget;
     }
     ++slot.fed;

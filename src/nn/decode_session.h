@@ -11,6 +11,9 @@ namespace dtt {
 namespace nn {
 
 class Transformer;
+namespace internal {
+struct DecodeScratch;
+}  // namespace internal
 
 /// Session construction knobs (see Transformer::NewDecodeSession).
 struct DecodeSessionOptions {
@@ -40,23 +43,23 @@ struct EncodedPrompt {
   std::vector<Tensor> cross_v;  // per decoder layer, [len, D]
 };
 
-/// The step-resumable form of Transformer::GenerateBatch: a persistent
-/// slotted KV-cache batch that sequences enter and leave mid-decode.
-///
-/// GenerateBatch admits one fixed batch, runs it to completion, and throws
-/// its incremental state away. A DecodeSession owns that state explicitly —
+/// The greedy decode engine: a persistent slotted KV-cache batch that
+/// sequences enter and leave mid-decode. It owns the incremental state —
 /// per-layer self-attention caches with one slot per resident sequence, the
 /// once-projected cross-attention K/V of each sequence's encoder memory —
-/// and exposes the decode step loop:
+/// and exposes the decode step loop. Transformer::GenerateBatch is a session
+/// sized to its batch, stepped until empty; the serve layer's continuous
+/// batcher keeps one long-lived session per backend.
 ///
-///   * Encode() runs one prompt through the unpadded EncodeRows pass
-///     (exactly GenerateBatch's encoder) and projects its cross-attention
-///     K/V; Install() copies an encoded prompt into a free slot with its own
-///     decode-step budget. Admit() is both for a group: one shared encoder
-///     pass, then one Install per prompt;
-///   * Step() advances every live sequence one token in lockstep, whatever
-///     mix of admission times and prefix lengths they have, and reports the
-///     sequences that finished (EOS, budget, or the model length cap);
+///   * Encode() runs one prompt through the unpadded EncodeRows pass and
+///     projects its cross-attention K/V; Install() copies an encoded prompt
+///     into a free slot with its own decode-step budget. Admit() is both for
+///     a group: one shared encoder pass, then one Install per prompt;
+///   * Step() advances every live sequence one token through one
+///     Transformer::DecodeStepRows call (the decoder step the beam engine
+///     shares), whatever mix of admission times and prefix lengths they
+///     have, and reports the sequences that finished (EOS, budget, or the
+///     model length cap);
 ///   * Release() evicts a sequence — finished or mid-decode — freeing its
 ///     slot for the next admission;
 ///   * Compact() repacks the live KV rows into the lowest physical slots
@@ -67,8 +70,8 @@ struct EncodedPrompt {
 /// shared nn/infer_internal.h kernels), so a sequence's tokens depend only
 /// on its own prompt and budget — never on which other sequences share the
 /// batch or when they were admitted. For any admission/eviction schedule the
-/// per-sequence outputs are bit-identical to GreedyDecode / GenerateBatch
-/// (enforced by nn_decode_session_test).
+/// per-sequence outputs are bit-identical to GreedyDecode (enforced by
+/// nn_decode_session_test).
 ///
 /// Threading: Encode() is const and touches only the model's read-only
 /// weights, so any number of threads may call it concurrently with each
@@ -175,13 +178,9 @@ class DecodeSession {
   std::vector<int> free_phys_;     // descending, so the lowest pops last
   DecodeSessionStats stats_;
 
-  // Step scratch, reused across calls.
+  // Step inputs and buffers, reused across calls.
   std::vector<int> live_;
-  std::vector<size_t> self_bases_, cross_bases_;
-  std::vector<int> self_lens_, cross_lens_;
-  std::vector<float> scores_buf_;
-  Tensor x_, n_, q_, k_, v_, ctx_, attn_out_, h1_, h2_, ff_mid_, ff_out_,
-      logits_;
+  std::unique_ptr<internal::DecodeScratch> scratch_;
 };
 
 }  // namespace nn

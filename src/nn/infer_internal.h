@@ -2,16 +2,16 @@
 #define DTT_NN_INFER_INTERNAL_H_
 
 // Shared row-wise kernels of the graph-free inference path: the unpadded
-// encoder (nn/infer.cc, Transformer::EncodeRows) and the incremental decoder
-// of the greedy engine (nn/infer.cc, Transformer::GenerateBatch), the beam
-// engine (nn/beam.cc, Transformer::BeamDecodeBatch) and the step-resumable
-// decoder (nn/decode_session.cc, DecodeSession).
+// encoder (Transformer::EncodeRows) and the one incremental decoder step
+// (Transformer::DecodeStepRows, both in nn/infer.cc) that the beam engine
+// (nn/beam.cc) and the decode session (nn/decode_session.cc, which also runs
+// GenerateBatch) call.
 //
 // Every kernel mirrors its autograd counterpart operation-for-operation —
 // same GEMM kernels (nn/gemm.h), same accumulation order, same normalization
 // order — so logits produced through this path are bit-identical to the
-// autograd DecodeLogits path. That identity is what lets the beam engine be
-// checked bit-for-bit against the per-prompt BeamDecode reference.
+// autograd DecodeLogits path. That identity is what lets the greedy and beam
+// engines be checked bit-for-bit against GreedyDecode and BeamDecode.
 
 #include <algorithm>
 #include <cassert>
@@ -26,6 +26,54 @@
 namespace dtt {
 namespace nn {
 namespace internal {
+
+/// One decoder layer's caches as Transformer::DecodeStepRows sees them: the
+/// self-attention K/V it writes and attends over, and the cross-attention
+/// K/V of the encoder memory it reads. All are row-major with rows of D
+/// floats; rows address them by float offsets (DecodeScratch's bases).
+struct DecoderLayerKv {
+  float* self_k = nullptr;
+  float* self_v = nullptr;
+  const float* cross_k = nullptr;
+  const float* cross_v = nullptr;
+};
+
+/// The caller-owned inputs and work buffers of Transformer::DecodeStepRows,
+/// reused across steps. The caller points `layers` at its caches and adds
+/// one row per sequence (or beam hypothesis) to advance.
+struct DecodeScratch {
+  std::vector<DecoderLayerKv> layers;  // one per decoder layer
+  // Per row: the token fed at decoder position `positions[r]`, the float
+  // offset of its self-cache slot, and its encoder-memory rows.
+  std::vector<int> tokens;
+  std::vector<int> positions;
+  std::vector<size_t> self_bases;
+  std::vector<size_t> cross_bases;
+  std::vector<int> cross_lens;
+  // Work buffers; `logits` [rows, V] is the step's result.
+  std::vector<int> self_lens;
+  std::vector<float> scores;
+  Tensor x, n, q, k, v, ctx, attn_out, h1, h2, ff_mid, ff_out, logits;
+
+  int rows() const { return static_cast<int>(tokens.size()); }
+
+  void ClearRows() {
+    tokens.clear();
+    positions.clear();
+    self_bases.clear();
+    cross_bases.clear();
+    cross_lens.clear();
+  }
+
+  void AddRow(int token, int position, size_t self_base, size_t cross_base,
+              int cross_len) {
+    tokens.push_back(token);
+    positions.push_back(position);
+    self_bases.push_back(self_base);
+    cross_bases.push_back(cross_base);
+    cross_lens.push_back(cross_len);
+  }
+};
 
 /// out[rows, out_dim] = x[rows, in_dim] @ W + b, matching Linear::Forward
 /// (full GEMM into a zero-filled output first, bias added after).

@@ -262,10 +262,12 @@ std::vector<int> Transformer::GreedyDecode(const std::vector<int>& input_ids,
   return generated;
 }
 
-// Transformer::GenerateBatch lives in nn/infer.cc and
-// Transformer::BeamDecodeBatch in nn/beam.cc: both run the graph-free
-// incremental decoder with per-layer KV caches rather than re-running the
-// autograd forward over the whole prefix at every step.
+// The production decoders live elsewhere: GenerateBatch (nn/infer.cc) runs
+// a DecodeSession (nn/decode_session.cc), and BeamDecodeBatch (nn/beam.cc)
+// its own beam bookkeeping; both feed the one graph-free decoder step,
+// Transformer::DecodeStepRows (nn/infer.cc), over per-layer KV caches
+// rather than re-running the autograd forward over the whole prefix at
+// every step. GreedyDecode above and BeamDecode below are their oracles.
 
 // The legacy per-prompt beam search. Kept verbatim as the acceptance oracle
 // for the batched engine: nn_beam_test asserts BeamDecodeBatch reproduces

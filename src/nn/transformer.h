@@ -137,9 +137,9 @@ class Transformer : public Module {
   std::vector<int> GreedyDecode(const std::vector<int>& input_ids,
                                 int max_steps) const;
 
-  /// Batched greedy decoding: advances all sequences in lockstep, sharing
-  /// projection GEMMs and reusing the cross-attention key/value cache across
-  /// steps. Bit-exact with per-sequence GreedyDecode.
+  /// Batched greedy decoding: a DecodeSession sized to the batch admits
+  /// every prompt through one shared encoder pass, then steps until every
+  /// sequence has finished. Bit-exact with per-sequence GreedyDecode.
   std::vector<std::vector<int>> GenerateBatch(
       const std::vector<std::vector<int>>& input_ids, int max_steps) const;
 
@@ -194,13 +194,21 @@ class Transformer : public Module {
   LayerNorm final_ln_;
   Linear lm_head_;
 
-  /// The graph-free, unpadded inference encoder shared by GenerateBatch,
-  /// BeamDecodeBatch and DecodeSession::Encode/Admit (nn/infer.cc). Returns
-  /// the packed memory [sum of lengths, D]: prompt b's rows start at
-  /// (*offsets)[b], and `offsets` gets one trailing entry, the total row
-  /// count. Bit-identical to Encode and to EncodeBatch's valid rows.
+  /// The graph-free, unpadded inference encoder shared by BeamDecodeBatch
+  /// and DecodeSession::Encode/Admit (nn/infer.cc). Returns the packed
+  /// memory [sum of lengths, D]: prompt b's rows start at (*offsets)[b],
+  /// and `offsets` gets one trailing entry, the total row count.
+  /// Bit-identical to Encode and to EncodeBatch's valid rows.
   Tensor EncodeRows(const std::vector<std::vector<int>>& prompts,
                     std::vector<int>* offsets) const;
+
+  /// The one incremental decoder step, shared by BeamDecodeBatch and
+  /// DecodeSession::Step (nn/infer.cc). Row r of `scratch` embeds its token
+  /// at its decoder position p, writes its self-attention K/V at position p
+  /// of the slot at its self base, attends over positions 0..p of that slot
+  /// and over its encoder-memory rows, and runs every decoder layer, the
+  /// final LN and lm_head. Returns the logits [rows, V], owned by `scratch`.
+  const Tensor& DecodeStepRows(internal::DecodeScratch* scratch) const;
 
   Var Embed(const std::vector<int>& ids) const;
   /// Embeds a padded batch: token embeddings plus per-sequence positions.

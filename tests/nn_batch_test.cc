@@ -120,6 +120,66 @@ TEST(GenerateBatchTest, EmptyBatchReturnsEmpty) {
   EXPECT_TRUE(model.GenerateBatch({}, 8).empty());
 }
 
+// --- The model's hard length cap ------------------------------------------
+
+// Every engine with a step budget at or above the model's max_len: decoding
+// must stop where its oracle stops. Greedy stops once <sos> + output fills
+// max_len (max_len - 1 tokens); beam runs at most max_len steps.
+TEST(LengthCapTest, EveryEngineStopsAtTheModelLengthCapLikeItsOracle) {
+  nn::TransformerConfig cfg = TinyConfig();
+  cfg.max_len = 10;
+  Rng rng(71);
+  nn::Transformer model(cfg, &rng);
+  Rng data_rng(72);
+  std::vector<std::vector<int>> inputs;
+  for (int len : {10, 3, 7, 1, 5}) inputs.push_back(RandomIds(len, &data_rng));
+  const int max_steps = 16;
+
+  std::vector<std::vector<int>> greedy;
+  size_t capped = 0;
+  for (const auto& ids : inputs) {
+    greedy.push_back(model.GreedyDecode(ids, max_steps));
+    if (greedy.back().size() == static_cast<size_t>(cfg.max_len - 1)) {
+      ++capped;
+    }
+  }
+  ASSERT_GT(capped, 0u) << "no sequence reached the length cap";
+  EXPECT_EQ(model.GenerateBatch(inputs, max_steps), greedy);
+
+  // A session whose per-slot budgets all exceed the cap.
+  auto session = model.NewDecodeSession({static_cast<int>(inputs.size()), 24});
+  std::vector<nn::DecodeSession::Admission> group;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    group.push_back({inputs[i], 12 + 3 * static_cast<int>(i)});
+  }
+  const std::vector<int> handles = session->Admit(group);
+  for (int guard = 0; guard < 64 && session->stats().finished < handles.size();
+       ++guard) {
+    session->Step();
+  }
+  for (size_t i = 0; i < handles.size(); ++i) {
+    EXPECT_EQ(session->output(handles[i]),
+              model.GreedyDecode(inputs[i], group[i].max_steps))
+        << "sequence " << i;
+  }
+
+  // The legacy BeamDecode is only defined up to max_steps == max_len (its
+  // Embed asserts beyond), so it is the oracle for any larger budget.
+  for (int width : {1, 3}) {
+    const auto batched = model.BeamDecodeBatch(inputs, max_steps, width);
+    ASSERT_EQ(batched.size(), inputs.size());
+    size_t beam_capped = 0;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      EXPECT_EQ(batched[i], model.BeamDecode(inputs[i], cfg.max_len, width))
+          << "width " << width << " sequence " << i;
+      if (batched[i].size() == static_cast<size_t>(cfg.max_len)) {
+        ++beam_capped;
+      }
+    }
+    EXPECT_GT(beam_capped, 0u) << "width " << width;
+  }
+}
+
 // --- Graph-free inference encoder -----------------------------------------
 
 // Rows [row, row + count) of `t` compared bitwise with `expected`'s rows, so a
