@@ -315,7 +315,7 @@ void BM_EncodeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeBatch)->Arg(1)->Arg(8);
 
-// Distinct prompts for the beam benchmarks: identical ones would collapse
+// Distinct prompts for the beam benchmark: identical ones would collapse
 // onto one encoder pass via the engine's prompt dedup and overstate the win.
 std::vector<std::vector<int>> BeamBenchPrompts(int count) {
   Rng rng(15);
@@ -328,23 +328,6 @@ std::vector<std::vector<int>> BeamBenchPrompts(int count) {
   }
   return prompts;
 }
-
-// The legacy per-prompt beam search (autograd graph per hypothesis per
-// step); the comparison leg for BM_BeamDecodeBatch at the same beam width.
-void BM_BeamDecode(benchmark::State& state) {
-  Rng rng(16);
-  nn::Transformer model(BenchConfig(), &rng);
-  const auto prompts = BeamBenchPrompts(8);
-  const int width = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    for (const auto& prompt : prompts) {
-      benchmark::DoNotOptimize(model.BeamDecode(prompt, 12, width));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(prompts.size()));
-}
-BENCHMARK(BM_BeamDecode)->Arg(4);
 
 void BM_BeamDecodeBatch(benchmark::State& state) {
   Rng rng(16);

@@ -119,7 +119,7 @@ int Main() {
     Prompt prompt{inst.context, inst.input_source};
     auto ids = serializer.EncodePrompt(prompt);
     if (static_cast<int>(ids.size()) > cfg.max_len) continue;
-    auto out = model->GreedyDecode(ids, 24);
+    auto out = model->GenerateBatch({ids}, 24)[0];
     samples.AddRow({printable(inst.input_source), printable(inst.label),
                     printable(tokenizer.Decode(out))});
   }

@@ -10,9 +10,9 @@
 //  (e) dataset-grid sharding: the whole benchmark grid through the
 //      ExperimentRunner, serial vs 4 workers — identical DatasetEvals,
 //      ROADMAP's "table sharding" wall-clock win;
-//  (f) beam-decode throughput: the legacy per-prompt autograd BeamDecode vs
-//      the batched KV-cache BeamDecodeBatch at beam width 4 (bit-exact, so
-//      the delta is pure throughput; target >= 2x);
+//  (f) beam-decode batching: BeamDecodeBatch run once per prompt vs one
+//      call over all prompts at beam width 4 (bit-identical, so the delta
+//      is pure batching throughput);
 // Absolute numbers differ (different hardware and model substrate); the
 // claim reproduced is the GROWTH: DTT scales roughly linearly with length
 // and rows, CST polynomially with length and quadratically with rows.
@@ -142,10 +142,11 @@ void NeuralThroughput(uint64_t seed, bench::BenchJsonReporter* report) {
   report->AddRun("neural_speedup").Set("speedup", speedup);
 }
 
-/// (f): beam search on the same untrained byte-level transformer, once per
-/// prompt on the legacy autograd path and once through the batched KV-cache
-/// engine. The outputs are asserted identical, so the speedup is pure
-/// throughput — the beam-search analogue of section (d).
+/// (f): beam search on the same untrained byte-level transformer through
+/// the KV-cache engine, once per prompt and once as one batch. The outputs
+/// are checked identical, so the speedup is pure batching throughput — the
+/// beam-search analogue of section (d). Bit-exactness against the autograd
+/// reference is nn_beam_test's job.
 void BeamThroughput(uint64_t seed, bench::BenchJsonReporter* report) {
   nn::TransformerConfig cfg;
   cfg.dim = 48;
@@ -165,42 +166,43 @@ void BeamThroughput(uint64_t seed, bench::BenchJsonReporter* report) {
     prompts.push_back(tokenizer.Encode(ThroughputSource(&data_rng), false));
   }
 
-  Stopwatch legacy_timer;
-  std::vector<std::vector<int>> legacy;
+  Stopwatch per_prompt_timer;
+  std::vector<std::vector<int>> per_prompt;
   for (const auto& prompt : prompts) {
-    legacy.push_back(model.BeamDecode(prompt, kMaxSteps, kBeamWidth));
+    per_prompt.push_back(
+        model.BeamDecodeBatch({prompt}, kMaxSteps, kBeamWidth)[0]);
   }
-  const double legacy_seconds = legacy_timer.Seconds();
+  const double per_prompt_seconds = per_prompt_timer.Seconds();
   Stopwatch batched_timer;
   std::vector<std::vector<int>> batched =
       model.BeamDecodeBatch(prompts, kMaxSteps, kBeamWidth);
   const double batched_seconds = batched_timer.Seconds();
-  const bool identical = batched == legacy;
+  const bool identical = batched == per_prompt;
 
-  const double legacy_rate =
-      legacy_seconds > 0.0 ? prompts.size() / legacy_seconds : 0.0;
+  const double per_prompt_rate =
+      per_prompt_seconds > 0.0 ? prompts.size() / per_prompt_seconds : 0.0;
   const double batched_rate =
       batched_seconds > 0.0 ? prompts.size() / batched_seconds : 0.0;
   const double speedup =
-      batched_seconds > 0.0 ? legacy_seconds / batched_seconds : 0.0;
+      batched_seconds > 0.0 ? per_prompt_seconds / batched_seconds : 0.0;
   TablePrinter table({"path", "beam", "prompts", "s", "prompts/s"});
-  table.AddRow({"legacy per-prompt", std::to_string(kBeamWidth),
+  table.AddRow({"per-prompt calls", std::to_string(kBeamWidth),
                 std::to_string(prompts.size()),
-                TablePrinter::Num(legacy_seconds, 3),
-                TablePrinter::Num(legacy_rate, 2)});
-  table.AddRow({"batched KV-cache", std::to_string(kBeamWidth),
+                TablePrinter::Num(per_prompt_seconds, 3),
+                TablePrinter::Num(per_prompt_rate, 2)});
+  table.AddRow({"one batched call", std::to_string(kBeamWidth),
                 std::to_string(prompts.size()),
                 TablePrinter::Num(batched_seconds, 3),
                 TablePrinter::Num(batched_rate, 2)});
   table.Print();
   std::printf("outputs bit-identical: %s\n", identical ? "yes" : "NO (BUG)");
-  std::printf("batched beam speedup at width %d: %.2fx (target >= 2x)\n",
-              kBeamWidth, speedup);
-  report->AddRun("beam_legacy")
-      .Set("seconds", legacy_seconds)
+  std::printf("batched beam speedup at width %d: %.2fx\n", kBeamWidth,
+              speedup);
+  report->AddRun("beam_per_prompt")
+      .Set("seconds", per_prompt_seconds)
       .Set("prompts", static_cast<int64_t>(prompts.size()))
       .Set("beam_width", kBeamWidth)
-      .Set("prompts_per_sec", legacy_rate);
+      .Set("prompts_per_sec", per_prompt_rate);
   report->AddRun("beam_batched")
       .Set("seconds", batched_seconds)
       .Set("prompts", static_cast<int64_t>(prompts.size()))
@@ -369,7 +371,7 @@ int Main() {
   PrintBanner("(e) dataset-grid sharding: serial vs 4-worker runner");
   GridSharding(ctx, &ctx.report);
 
-  PrintBanner("(f) beam decode: legacy per-prompt vs batched KV-cache");
+  PrintBanner("(f) beam decode: per-prompt vs batched BeamDecodeBatch");
   BeamThroughput(ctx.seed, &ctx.report);
 
   std::printf(

@@ -165,7 +165,7 @@ std::vector<RowPrediction> DttPipeline::TransformAllFixedBatch(
     const BatchJob& job = jobs[ji];
     TextToTextModel* model = models_[job.model].get();
     if (batch_size == 1) {
-      // The original per-prompt path, bypassing batched decoding entirely.
+      // The reference per-prompt path: one Transform call per prompt.
       const SlotRef& slot = job.slots[0];
       outputs[slot.row][job.model][slot.trial] =
           OutputOrAbstain(model->Transform(prompts[slot.row][job.model]

@@ -24,8 +24,8 @@ struct RowPrediction {
 struct PipelineOptions {
   DecomposerOptions decomposer;
   SerializerOptions serializer;
-  /// Prompts per TransformBatch dispatch in TransformAll. 1 forces the
-  /// per-prompt Transform path (the original serial behaviour).
+  /// Prompts per TransformBatch dispatch in TransformAll. 1 dispatches each
+  /// prompt alone (TransformAllFixedBatch calls Transform directly).
   int batch_size = 16;
   /// Worker threads TransformAll shards prompt batches across. The
   /// serve-backed TransformAll gates per backend: thread-safe models share

@@ -12,6 +12,33 @@ namespace dtt {
 
 namespace {
 
+/// Serializes `prompt` and sets its decode-step budget (the prompt's own
+/// budget clamped to the configured maximum; 0 = the maximum), or returns
+/// the error every entry point reports for it. TransformBatch and the stream
+/// decoder's Prepare both call it, so a request fails identically whichever
+/// path the scheduler routes it down. It takes the model's parts rather than
+/// the model because the stream decoder outlives the model object.
+Result<PreparedPrompt> ValidatePrompt(const Prompt& prompt,
+                                      const Serializer& serializer,
+                                      const NeuralModelOptions& options,
+                                      const nn::TransformerConfig& config) {
+  if (prompt.examples.empty()) {
+    return Status::InvalidArgument(
+        "NeuralSeq2SeqModel requires at least one context example");
+  }
+  PreparedPrompt prepared;
+  prepared.input_ids = serializer.EncodePrompt(prompt);
+  if (static_cast<int>(prepared.input_ids.size()) > config.max_len) {
+    return Status::OutOfRange("serialized prompt exceeds the model's input "
+                              "length limit");
+  }
+  prepared.max_steps =
+      prompt.max_output_tokens > 0
+          ? std::min(prompt.max_output_tokens, options.max_output_tokens)
+          : options.max_output_tokens;
+  return prepared;
+}
+
 /// The neural model's TokenStreamDecoder: a thin text adapter over
 /// nn::DecodeSession. Holds its own copies of the serializer/options and a
 /// shared_ptr to the transformer, so it stays valid independent of the
@@ -31,23 +58,10 @@ class NeuralStreamDecoder : public TokenStreamDecoder {
   }
 
   Result<PreparedPrompt> Prepare(const Prompt& prompt) const override {
-    // Mirrors NeuralSeq2SeqModel::Transform validation exactly, so requests
-    // fail identically whichever path the scheduler routes them down.
-    if (prompt.examples.empty()) {
-      return Status::InvalidArgument(
-          "NeuralSeq2SeqModel requires at least one context example");
-    }
-    PreparedPrompt prepared;
-    prepared.input_ids = serializer_.EncodePrompt(prompt);
-    if (static_cast<int>(prepared.input_ids.size()) >
-        model_->config().max_len) {
-      return Status::OutOfRange("serialized prompt exceeds the model's input "
-                                "length limit");
-    }
-    prepared.max_steps =
-        prompt.max_output_tokens > 0
-            ? std::min(prompt.max_output_tokens, options_.max_output_tokens)
-            : options_.max_output_tokens;
+    Result<PreparedPrompt> validated =
+        ValidatePrompt(prompt, serializer_, options_, model_->config());
+    if (!validated.ok()) return validated.status();
+    PreparedPrompt prepared = std::move(validated).value();
     // KV-cache footprint in token positions: encoder memory plus the decode
     // cap (<sos> included) — what the serve scheduler charges against its
     // max_tokens_in_flight budget.
@@ -74,15 +88,10 @@ class NeuralStreamDecoder : public TokenStreamDecoder {
       finished.push_back({slot, tokenizer_.Decode(session_->output(slot))});
       session_->Release(slot);
     }
-    // Keep the resident KV rows dense; a no-op unless releases left gaps.
-    if (!finished.empty()) session_->Compact();
     return finished;
   }
 
-  void Cancel(int slot) override {
-    session_->Release(slot);
-    session_->Compact();
-  }
+  void Cancel(int slot) override { session_->Release(slot); }
 
   int max_slots() const override { return session_->max_slots(); }
   int active_slots() const override { return session_->active_slots(); }
@@ -103,67 +112,33 @@ NeuralSeq2SeqModel::NeuralSeq2SeqModel(std::shared_ptr<nn::Transformer> model,
       serializer_(std::move(serializer)),
       options_(options) {}
 
-int NeuralSeq2SeqModel::EffectiveBudget(const Prompt& prompt) const {
-  return prompt.max_output_tokens > 0
-             ? std::min(prompt.max_output_tokens, options_.max_output_tokens)
-             : options_.max_output_tokens;
-}
-
-Result<std::vector<int>> NeuralSeq2SeqModel::ValidateAndEncode(
-    const Prompt& prompt) const {
-  if (prompt.examples.empty()) {
-    return Status::InvalidArgument(
-        "NeuralSeq2SeqModel requires at least one context example");
-  }
-  std::vector<int> input_ids = serializer_.EncodePrompt(prompt);
-  if (static_cast<int>(input_ids.size()) > model_->config().max_len) {
-    return Status::OutOfRange("serialized prompt exceeds the model's input "
-                              "length limit");
-  }
-  return input_ids;
-}
-
 Result<std::string> NeuralSeq2SeqModel::Transform(const Prompt& prompt) {
-  Result<std::vector<int>> input_ids = ValidateAndEncode(prompt);
-  if (!input_ids.ok()) return input_ids.status();
-  const int budget = EffectiveBudget(prompt);
-  // Both decodes run on the graph-free incremental engine; the batched beam
-  // path with a single prompt is bit-exact with the legacy per-prompt
-  // BeamDecode (nn_beam_test) and avoids its per-hypothesis graph rebuilds.
-  std::vector<int> out =
-      options_.beam_size > 1
-          ? model_->BeamDecodeBatch({input_ids.value()}, budget,
-                                    options_.beam_size)[0]
-          : model_->GreedyDecode(input_ids.value(), budget);
-  return tokenizer_.Decode(out);
+  return TransformBatch({prompt})[0];
 }
 
 std::vector<Result<std::string>> NeuralSeq2SeqModel::TransformBatch(
     const std::vector<Prompt>& prompts) {
-  // A batch of one gains nothing over the single-sequence decode.
-  if (prompts.size() <= 1) {
-    return TextToTextModel::TransformBatch(prompts);
-  }
   std::vector<Result<std::string>> results(
       prompts.size(), Result<std::string>(std::string()));
   std::vector<std::vector<int>> batch_ids;
   std::vector<size_t> batch_slots;
   std::vector<int> batch_budgets;
   for (size_t i = 0; i < prompts.size(); ++i) {
-    Result<std::vector<int>> input_ids = ValidateAndEncode(prompts[i]);
-    if (!input_ids.ok()) {
-      results[i] = input_ids.status();
+    Result<PreparedPrompt> prepared = ValidatePrompt(
+        prompts[i], serializer_, options_, model_->config());
+    if (!prepared.ok()) {
+      results[i] = prepared.status();
       continue;
     }
-    batch_ids.push_back(std::move(input_ids).value());
     batch_slots.push_back(i);
-    batch_budgets.push_back(EffectiveBudget(prompts[i]));
+    batch_budgets.push_back(prepared->max_steps);
+    batch_ids.push_back(std::move(prepared->input_ids));
   }
   if (batch_ids.empty()) return results;
   if (options_.beam_size > 1) {
     // Beam pruning is not prefix-stable, so mixed budgets cannot share one
     // lockstep call: bucket by budget and run one batched decode per bucket
-    // (bit-exact with per-prompt Transform either way).
+    // (bit-exact with per-prompt decodes either way).
     std::map<int, std::vector<size_t>> buckets;
     for (size_t j = 0; j < batch_ids.size(); ++j) {
       buckets[batch_budgets[j]].push_back(j);

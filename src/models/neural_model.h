@@ -29,17 +29,19 @@ class NeuralSeq2SeqModel : public TextToTextModel {
                      Serializer serializer, Options options = {});
 
   std::string name() const override { return "dtt-neural"; }
+  /// TransformBatch({prompt})[0]: one prompt runs on the same engine at its
+  /// own budget.
   Result<std::string> Transform(const Prompt& prompt) override;
 
   /// Batched decode: valid prompts run through one lockstep decoder call —
   /// Transformer::GenerateBatch when greedy, Transformer::BeamDecodeBatch
   /// when beam_size > 1 — so beam requests micro-batch exactly like greedy
-  /// ones (bit-exact with per-prompt Transform); invalid prompts keep their
-  /// per-prompt error.
+  /// ones (each output bit-exact with that prompt decoded alone); invalid
+  /// prompts keep their per-prompt error.
   std::vector<Result<std::string>> TransformBatch(
       const std::vector<Prompt>& prompts) override;
 
-  /// Inference only builds fresh graph nodes over the shared (read-only)
+  /// Every decode builds its own KV caches and only reads the shared
   /// parameters, so concurrent Transform calls are safe as long as nothing
   /// trains this model at the same time.
   bool thread_safe() const override { return true; }
@@ -55,12 +57,6 @@ class NeuralSeq2SeqModel : public TextToTextModel {
   nn::Transformer* model() { return model_.get(); }
 
  private:
-  /// Decode-step cap for one request: the prompt's own budget clamped to the
-  /// configured maximum (0 = use the maximum).
-  int EffectiveBudget(const Prompt& prompt) const;
-  /// Shared Transform-path validation: serialize or return the error.
-  Result<std::vector<int>> ValidateAndEncode(const Prompt& prompt) const;
-
   std::shared_ptr<nn::Transformer> model_;
   Serializer serializer_;
   ByteTokenizer tokenizer_;

@@ -1,9 +1,10 @@
 // The graph-free batched beam-search engine behind
 // Transformer::BeamDecodeBatch.
 //
-// The legacy per-prompt BeamDecode (nn/transformer.cc) re-runs the autograd
-// DecodeLogits over every hypothesis's whole prefix at every step — one
-// graph build per hypothesis per step. This engine instead:
+// The per-prompt autograd reference (BeamDecode in
+// tests/testing/reference_decode.cc) re-runs DecodeLogits over every
+// hypothesis's whole prefix at every step — one graph build per hypothesis
+// per step. This engine instead:
 //
 //   * encodes all prompts once (deduplicated: prompts with identical token
 //     ids share one encoder pass and one cross-attention K/V projection —
@@ -21,7 +22,7 @@
 // log-softmax reads, the same double accumulations, the same
 // partial_sort/sort calls on identically ordered inputs — and the kernels
 // produce bit-identical logits, so the returned sequences are bit-exact with
-// per-prompt BeamDecode (enforced by nn_beam_test).
+// the per-prompt reference (enforced by nn_beam_test).
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -180,7 +181,7 @@ std::vector<std::vector<int>> Transformer::BeamDecodeBatch(
     const Tensor& logits = DecodeStepRows(&scratch);  // [rows, V]
     const int vocab = logits.cols();
 
-    // Per-prompt expansion + prune, replicating the legacy BeamDecode
+    // Per-prompt expansion + prune, replicating the reference BeamDecode
     // arithmetic and selection calls exactly (same float reads, same double
     // sums, same partial_sort/sort invocations on identically ordered
     // input), so scores and tie-breaks match the reference bit-for-bit.

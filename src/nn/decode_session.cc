@@ -1,13 +1,13 @@
 // The greedy decode engine: Transformer::GenerateBatch (a session sized to
 // its batch) and the serve layer's continuous (token-level) batching.
 //
-// Sequences occupy stable KV-cache slots they can enter and leave mid-loop,
-// each carrying its own decoder position and step budget; every step feeds
-// the live slots as rows of the shared Transformer::DecodeStepRows. Because
-// every kernel is row-wise, a sequence's tokens never depend on its
-// batch-mates, which is what makes the continuous batcher bit-identical to
-// the run-to-completion path for every admission schedule
-// (nn_decode_session_test, serve_continuous_test).
+// Sequences occupy KV-cache slots they can enter and leave mid-loop, each
+// carrying its own decoder position and step budget; every step feeds the
+// live slots, wherever they sit, as rows of the shared
+// Transformer::DecodeStepRows. Because every kernel is row-wise, a
+// sequence's tokens never depend on its batch-mates, which is what makes
+// the continuous batcher bit-identical to the run-to-completion path for
+// every admission schedule (nn_decode_session_test, serve_continuous_test).
 #include "nn/decode_session.h"
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <utility>
 
 #include "nn/infer_internal.h"
 #include "nn/transformer.h"
@@ -35,13 +34,11 @@ struct SessionMetrics {
   obs::Counter* sessions;
   obs::Counter* admitted;
   obs::Counter* steps;
-  obs::Counter* compact_moves;
   static const SessionMetrics& Get() {
     static const SessionMetrics m{
         obs::GlobalMetrics().GetCounter("nn.session.sessions"),
         obs::GlobalMetrics().GetCounter("nn.session.admitted"),
         obs::GlobalMetrics().GetCounter("nn.session.steps"),
-        obs::GlobalMetrics().GetCounter("nn.session.compact_moves"),
     };
     return m;
   }
@@ -80,31 +77,11 @@ DecodeSession::DecodeSession(const Transformer* model,
   }
   slots_.resize(static_cast<size_t>(max_slots_));
   free_handles_.reserve(static_cast<size_t>(max_slots_));
-  free_phys_.reserve(static_cast<size_t>(max_slots_));
-  for (int i = max_slots_ - 1; i >= 0; --i) {
-    free_handles_.push_back(i);
-    free_phys_.push_back(i);
-  }
+  for (int i = max_slots_ - 1; i >= 0; --i) free_handles_.push_back(i);
   SessionMetrics::Get().sessions->Increment();
 }
 
 DecodeSession::~DecodeSession() = default;
-
-int DecodeSession::AllocHandle() {
-  assert(!free_handles_.empty());
-  const int handle = free_handles_.back();
-  free_handles_.pop_back();
-  return handle;
-}
-
-void DecodeSession::FreePhys(int phys) {
-  // Keep the free list descending so the lowest physical row is reused
-  // first — allocation order is deterministic and stays dense.
-  free_phys_.insert(
-      std::upper_bound(free_phys_.begin(), free_phys_.end(), phys,
-                       std::greater<int>()),
-      phys);
-}
 
 std::vector<std::shared_ptr<const EncodedPrompt>> DecodeSession::EncodeGroup(
     const std::vector<std::vector<int>>& inputs) const {
@@ -150,14 +127,11 @@ std::shared_ptr<const EncodedPrompt> DecodeSession::Encode(
 int DecodeSession::Install(const EncodedPrompt& prompt, int max_steps) {
   assert(free_slots() > 0);
   assert(prompt.len <= mem_cap_ && prompt.cross_k.size() == layers_.size());
-  const int handle = AllocHandle();
-  assert(!free_phys_.empty());
-  const int phys = free_phys_.back();
-  free_phys_.pop_back();
+  const int handle = free_handles_.back();
+  free_handles_.pop_back();
   Slot& slot = slots_[static_cast<size_t>(handle)];
   slot.in_use = true;
   slot.done = false;
-  slot.phys = phys;
   slot.mem_len = prompt.len;
   slot.fed = 0;
   slot.budget = max_steps > 0 ? std::min(max_steps, options_.max_steps)
@@ -168,7 +142,7 @@ int DecodeSession::Install(const EncodedPrompt& prompt, int max_steps) {
   // Copy the prompt's cross K/V rows into the slot's cache region.
   const size_t valid =
       static_cast<size_t>(prompt.len) * static_cast<size_t>(d_);
-  const size_t dst = static_cast<size_t>(phys) *
+  const size_t dst = static_cast<size_t>(handle) *
                      static_cast<size_t>(mem_cap_) * static_cast<size_t>(d_);
   for (size_t l = 0; l < layers_.size(); ++l) {
     std::memcpy(layers_[l].cross_k.data() + dst, prompt.cross_k[l].data(),
@@ -228,9 +202,9 @@ std::vector<int> DecodeSession::Step() {
   for (int handle : live_) {
     // Each slot feeds its current token at its own decoder position.
     const Slot& slot = slots_[static_cast<size_t>(handle)];
-    const size_t phys = static_cast<size_t>(slot.phys);
-    scratch.AddRow(slot.cur_token, slot.fed, phys * self_stride,
-                   phys * cross_stride, slot.mem_len);
+    const size_t row = static_cast<size_t>(handle);
+    scratch.AddRow(slot.cur_token, slot.fed, row * self_stride,
+                   row * cross_stride, slot.mem_len);
   }
   const Tensor& logits = model_->DecodeStepRows(&scratch);  // [rows, V]
   for (int r = 0; r < rows; ++r) {
@@ -260,8 +234,6 @@ std::vector<int> DecodeSession::Step() {
     ++slot.fed;
     if (done) {
       slot.done = true;
-      FreePhys(slot.phys);
-      slot.phys = -1;
       finished.push_back(handle);
       ++stats_.finished;
     }
@@ -287,13 +259,9 @@ void DecodeSession::Release(int slot) {
   assert(slot >= 0 && slot < max_slots_);
   Slot& state = slots_[static_cast<size_t>(slot)];
   if (!state.in_use) return;
-  if (state.phys >= 0) {
-    // Mid-decode eviction: the KV row is simply returned to the pool; no
-    // other slot references it.
-    FreePhys(state.phys);
-    state.phys = -1;
-    ++stats_.evictions;
-  }
+  // A mid-decode eviction returns the KV row like a finished one: no other
+  // slot references it.
+  if (!state.done) ++stats_.evictions;
   state.in_use = false;
   state.done = false;
   state.out.clear();
@@ -302,66 +270,6 @@ void DecodeSession::Release(int slot) {
                        std::greater<int>()),
       slot);
   --active_;
-}
-
-int DecodeSession::Compact() {
-  // Collect live physical rows in ascending order and slide each down to
-  // the lowest free index below it — the beam engine's gather-by-index
-  // copy (nn/beam.cc), with target < source always, so moves never clobber
-  // a row that has not been relocated yet.
-  std::vector<std::pair<int, int>> live_phys;  // (phys, handle)
-  for (int h = 0; h < max_slots_; ++h) {
-    const Slot& slot = slots_[static_cast<size_t>(h)];
-    if (slot.in_use && slot.phys >= 0) live_phys.emplace_back(slot.phys, h);
-  }
-  std::sort(live_phys.begin(), live_phys.end());
-  int moves = 0;
-  for (size_t i = 0; i < live_phys.size(); ++i) {
-    const int target = static_cast<int>(i);
-    const auto [phys, handle] = live_phys[i];
-    if (phys == target) continue;
-    Slot& slot = slots_[static_cast<size_t>(handle)];
-    const size_t self_rows =
-        static_cast<size_t>(slot.fed) * static_cast<size_t>(d_);
-    const size_t cross_rows =
-        static_cast<size_t>(slot.mem_len) * static_cast<size_t>(d_);
-    const size_t self_src = static_cast<size_t>(phys) *
-                            static_cast<size_t>(cap_) *
-                            static_cast<size_t>(d_);
-    const size_t self_dst = static_cast<size_t>(target) *
-                            static_cast<size_t>(cap_) *
-                            static_cast<size_t>(d_);
-    const size_t cross_src = static_cast<size_t>(phys) *
-                             static_cast<size_t>(mem_cap_) *
-                             static_cast<size_t>(d_);
-    const size_t cross_dst = static_cast<size_t>(target) *
-                             static_cast<size_t>(mem_cap_) *
-                             static_cast<size_t>(d_);
-    for (LayerState& layer : layers_) {
-      std::memcpy(layer.self_k.data() + self_dst,
-                  layer.self_k.data() + self_src, sizeof(float) * self_rows);
-      std::memcpy(layer.self_v.data() + self_dst,
-                  layer.self_v.data() + self_src, sizeof(float) * self_rows);
-      std::memcpy(layer.cross_k.data() + cross_dst,
-                  layer.cross_k.data() + cross_src,
-                  sizeof(float) * cross_rows);
-      std::memcpy(layer.cross_v.data() + cross_dst,
-                  layer.cross_v.data() + cross_src,
-                  sizeof(float) * cross_rows);
-    }
-    slot.phys = target;
-    ++moves;
-  }
-  // Rebuild the free list as everything above the live prefix.
-  free_phys_.clear();
-  for (int p = max_slots_ - 1; p >= static_cast<int>(live_phys.size()); --p) {
-    free_phys_.push_back(p);
-  }
-  if (moves > 0) {
-    stats_.compact_moves += static_cast<uint64_t>(moves);
-    SessionMetrics::Get().compact_moves->Add(static_cast<uint64_t>(moves));
-  }
-  return moves;
 }
 
 }  // namespace nn

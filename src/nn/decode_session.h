@@ -31,7 +31,6 @@ struct DecodeSessionStats {
   uint64_t steps = 0;          // Step calls that advanced >= 1 sequence
   uint64_t finished = 0;       // sequences that reached EOS or a cap
   uint64_t evictions = 0;      // Release calls on a still-live sequence
-  uint64_t compact_moves = 0;  // physical KV rows moved by Compact
 };
 
 /// One prompt after the encoder: its memory rows projected through every
@@ -49,7 +48,8 @@ struct EncodedPrompt {
 /// once-projected cross-attention K/V of each sequence's encoder memory —
 /// and exposes the decode step loop. Transformer::GenerateBatch is a session
 /// sized to its batch, stepped until empty; the serve layer's continuous
-/// batcher keeps one long-lived session per backend.
+/// batcher keeps one long-lived session per backend, and every greedy
+/// NeuralSeq2SeqModel decode runs on one of the two.
 ///
 ///   * Encode() runs one prompt through the unpadded EncodeRows pass and
 ///     projects its cross-attention K/V; Install() copies an encoded prompt
@@ -61,17 +61,18 @@ struct EncodedPrompt {
 ///     have, and reports the sequences that finished (EOS, budget, or the
 ///     model length cap);
 ///   * Release() evicts a sequence — finished or mid-decode — freeing its
-///     slot for the next admission;
-///   * Compact() repacks the live KV rows into the lowest physical slots
-///     (the beam engine's gather-by-index move, nn/beam.cc), so a long-lived
-///     session stays dense; slot handles are stable across compaction.
+///     slot for the next admission.
+///
+/// A slot handle is the sequence's KV-cache row: each row passes its own
+/// self/cross cache base to DecodeStepRows, so live rows need not be
+/// contiguous and a released row is simply reused by a later Install.
 ///
 /// Determinism contract: every kernel this session runs is row-wise (the
 /// shared nn/infer_internal.h kernels), so a sequence's tokens depend only
 /// on its own prompt and budget — never on which other sequences share the
 /// batch or when they were admitted. For any admission/eviction schedule the
-/// per-sequence outputs are bit-identical to GreedyDecode (enforced by
-/// nn_decode_session_test).
+/// per-sequence outputs are bit-identical to the autograd reference
+/// testing::GreedyDecode (enforced by nn_decode_session_test).
 ///
 /// Threading: Encode() is const and touches only the model's read-only
 /// weights, so any number of threads may call it concurrently with each
@@ -99,12 +100,12 @@ class DecodeSession {
       const std::vector<int>& input_ids) const;
 
   /// Installs an encoded prompt into a free slot with a decode-step budget
-  /// (0 = the session's max_steps) and returns its stable handle. Requires
-  /// free_slots() > 0.
+  /// (0 = the session's max_steps) and returns its handle, the lowest free
+  /// slot. Requires free_slots() > 0.
   int Install(const EncodedPrompt& prompt, int max_steps = 0);
 
   /// Admits `group` into free slots through one shared encoder pass.
-  /// Returns one stable slot handle per admission, in order. Requires
+  /// Returns one slot handle per admission, in order. Requires
   /// group.size() <= free_slots() and every prompt within the model's input
   /// length limit (callers validate; violations abort in debug builds).
   std::vector<int> Admit(const std::vector<Admission>& group);
@@ -113,8 +114,7 @@ class DecodeSession {
   int Admit(const std::vector<int>& input_ids, int max_steps = 0);
 
   /// Advances every live sequence one token. Returns the handles that
-  /// finished on this step; their outputs stay readable until Release. A
-  /// finished sequence's physical KV row is freed immediately.
+  /// finished on this step; their outputs stay readable until Release.
   std::vector<int> Step();
 
   /// True once `slot` has finished decoding (EOS, budget, or length cap).
@@ -126,10 +126,6 @@ class DecodeSession {
   /// Frees `slot`. Valid on finished and live sequences alike; evicting a
   /// live sequence abandons its decode without touching any other slot.
   void Release(int slot);
-
-  /// Repacks live physical KV rows into the lowest slots, preserving their
-  /// relative order. Handles are unaffected. Returns the rows moved.
-  int Compact();
 
   int max_slots() const { return max_slots_; }
   int active_slots() const { return active_; }
@@ -143,7 +139,6 @@ class DecodeSession {
   struct Slot {
     bool in_use = false;
     bool done = false;
-    int phys = -1;     // physical KV row; -1 once finished or released
     int mem_len = 0;   // valid encoder-memory rows
     int fed = 0;       // tokens fed so far == next decoder position
     int budget = 0;    // decode-step cap of this sequence
@@ -162,8 +157,6 @@ class DecodeSession {
   /// Encode() for a group: one EncodeRows pass over all prompts.
   std::vector<std::shared_ptr<const EncodedPrompt>> EncodeGroup(
       const std::vector<std::vector<int>>& inputs) const;
-  int AllocHandle();
-  void FreePhys(int phys);
 
   const Transformer* model_;
   DecodeSessionOptions options_;
@@ -173,9 +166,8 @@ class DecodeSession {
   int d_ = 0;
   int active_ = 0;
   std::vector<LayerState> layers_;
-  std::vector<Slot> slots_;        // indexed by handle
+  std::vector<Slot> slots_;        // indexed by handle == KV row
   std::vector<int> free_handles_;  // descending, so the lowest pops last
-  std::vector<int> free_phys_;     // descending, so the lowest pops last
   DecodeSessionStats stats_;
 
   // Step inputs and buffers, reused across calls.

@@ -11,8 +11,9 @@
 // row-wise kernels (nn/infer_internal.h) mirror the autograd ops
 // operation-for-operation — same GEMM kernels (nn/gemm.h), same
 // accumulation order — so the generated tokens are bit-exact with the
-// per-sequence GreedyDecode (enforced by nn_batch_test) and the beam engine
-// with BeamDecode (nn_beam_test).
+// autograd references in tests/testing/reference_decode.h: greedy with
+// GreedyDecode (enforced by nn_batch_test), beam with BeamDecode
+// (nn_beam_test).
 #include <cassert>
 #include <cstring>
 #include <vector>

@@ -11,7 +11,8 @@
 // same GEMM kernels (nn/gemm.h), same accumulation order, same normalization
 // order — so logits produced through this path are bit-identical to the
 // autograd DecodeLogits path. That identity is what lets the greedy and beam
-// engines be checked bit-for-bit against GreedyDecode and BeamDecode.
+// engines be checked bit-for-bit against the autograd references
+// (tests/testing/reference_decode.h).
 
 #include <algorithm>
 #include <cassert>

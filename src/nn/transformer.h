@@ -132,33 +132,23 @@ class Transformer : public Module {
                         const std::vector<int>& memory_lengths,
                         const PaddedBatch& decoder_ids) const;
 
-  /// Greedy decoding until <eos> or `max_steps`. Returns generated ids
-  /// (without <sos>/<eos>).
-  std::vector<int> GreedyDecode(const std::vector<int>& input_ids,
-                                int max_steps) const;
-
-  /// Batched greedy decoding: a DecodeSession sized to the batch admits
-  /// every prompt through one shared encoder pass, then steps until every
-  /// sequence has finished. Bit-exact with per-sequence GreedyDecode.
+  /// Batched greedy decoding until <eos> or `max_steps`; returns each
+  /// prompt's generated ids (without <sos>/<eos>). A DecodeSession sized to
+  /// the batch admits every prompt through one shared encoder pass, then
+  /// steps until every sequence has finished. The only greedy engine:
+  /// bit-exact with the autograd reference testing::GreedyDecode
+  /// (tests/testing/reference_decode.h) for any batch composition.
   std::vector<std::vector<int>> GenerateBatch(
       const std::vector<std::vector<int>>& input_ids, int max_steps) const;
-
-  /// Beam-search decoding (beam = `beam_size`); returns the best hypothesis.
-  /// The legacy per-prompt path: rebuilds the autograd graph over every
-  /// hypothesis's whole prefix at each step. Retained as the bit-exactness
-  /// oracle for BeamDecodeBatch (nn_beam_test); production callers use the
-  /// batched engine.
-  std::vector<int> BeamDecode(const std::vector<int>& input_ids, int max_steps,
-                              int beam_size) const;
 
   /// Batched beam search on the graph-free incremental decoder: encodes all
   /// prompts once (identical prompts share one encoder pass and one
   /// cross-attention projection), then advances every live hypothesis of
   /// every prompt in lockstep with per-hypothesis self-attention KV caches,
   /// gathered by parent beam index after each prune/rerank. Returns the best
-  /// hypothesis per prompt, bit-exact with per-prompt BeamDecode for any
-  /// beam width >= 1 and mix of prompt lengths. beam_size < 1 is treated
-  /// as 1.
+  /// hypothesis per prompt, bit-exact with the per-prompt autograd
+  /// reference testing::BeamDecode for any beam width >= 1 and mix of
+  /// prompt lengths. beam_size < 1 is treated as 1.
   std::vector<std::vector<int>> BeamDecodeBatch(
       const std::vector<std::vector<int>>& input_ids, int max_steps,
       int beam_size) const;
@@ -166,8 +156,8 @@ class Transformer : public Module {
   /// Creates a step-resumable greedy decode session over this model: a
   /// persistent slotted KV-cache batch that sequences enter and leave
   /// mid-decode (continuous batching). Per-sequence outputs are bit-exact
-  /// with GreedyDecode/GenerateBatch for every admission schedule; see
-  /// nn/decode_session.h.
+  /// with GenerateBatch and testing::GreedyDecode for every admission
+  /// schedule; see nn/decode_session.h.
   std::unique_ptr<DecodeSession> NewDecodeSession(
       DecodeSessionOptions options = {}) const;
 

@@ -362,17 +362,11 @@ void TransformService::RunBatch(Backend* backend, std::vector<Task> batch) {
     span.Arg("batch_size", static_cast<int64_t>(batch.size()));
     span.Arg("request0", static_cast<int64_t>(batch[0].row->request));
   }
-  std::vector<Result<std::string>> results;
-  if (batch.size() == 1) {
-    // The per-prompt path: max_batch == 1 keeps the original Transform
-    // behaviour (and skips the batched decoder entirely).
-    results.push_back(backend->model->Transform(batch[0].prompt));
-  } else {
-    std::vector<Prompt> prompts;
-    prompts.reserve(batch.size());
-    for (Task& task : batch) prompts.push_back(std::move(task.prompt));
-    results = backend->model->TransformBatch(prompts);
-  }
+  std::vector<Prompt> prompts;
+  prompts.reserve(batch.size());
+  for (Task& task : batch) prompts.push_back(std::move(task.prompt));
+  const std::vector<Result<std::string>> results =
+      backend->model->TransformBatch(prompts);
   backend->batches.Increment();
   backend->prompts.Add(batch.size());
   metrics.batches->Increment();

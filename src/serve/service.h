@@ -62,7 +62,7 @@ struct ContinuousOptions {
 /// instead of convoying behind each other.
 struct BackendQueueOptions {
   /// Coalesce up to this many pending prompts per TransformBatch dispatch.
-  /// 1 dispatches the per-prompt Transform path.
+  /// 1 sends every prompt alone (a backend's TransformBatch of one).
   int max_batch = 16;
   /// How long a partial batch may wait for more prompts before it is
   /// flushed anyway (the dynamic micro-batch window). 0 = flush whatever is

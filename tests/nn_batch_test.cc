@@ -4,6 +4,7 @@
 // float tolerance (gradients).
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "nn/trainer.h"
 #include "nn/transformer.h"
 #include "testing/matchers.h"
+#include "testing/reference_decode.h"
 #include "text/vocab.h"
 
 namespace dtt {
@@ -99,7 +101,7 @@ TEST(GenerateBatchTest, BitExactWithPerSequenceGreedyDecode) {
   std::vector<std::vector<int>> batched = model.GenerateBatch(inputs, 24);
   ASSERT_EQ(batched.size(), inputs.size());
   for (size_t b = 0; b < inputs.size(); ++b) {
-    EXPECT_EQ(batched[b], model.GreedyDecode(inputs[b], 24))
+    EXPECT_EQ(batched[b], testing::GreedyDecode(model, inputs[b], 24))
         << "sequence " << b;
   }
 }
@@ -111,7 +113,7 @@ TEST(GenerateBatchTest, SingleSequenceBatchMatchesSerial) {
   std::vector<int> input = RandomIds(14, &data_rng);
   std::vector<std::vector<int>> batched = model.GenerateBatch({input}, 16);
   ASSERT_EQ(batched.size(), 1u);
-  EXPECT_EQ(batched[0], model.GreedyDecode(input, 16));
+  EXPECT_EQ(batched[0], testing::GreedyDecode(model, input, 16));
 }
 
 TEST(GenerateBatchTest, EmptyBatchReturnsEmpty) {
@@ -138,7 +140,7 @@ TEST(LengthCapTest, EveryEngineStopsAtTheModelLengthCapLikeItsOracle) {
   std::vector<std::vector<int>> greedy;
   size_t capped = 0;
   for (const auto& ids : inputs) {
-    greedy.push_back(model.GreedyDecode(ids, max_steps));
+    greedy.push_back(testing::GreedyDecode(model, ids, max_steps));
     if (greedy.back().size() == static_cast<size_t>(cfg.max_len - 1)) {
       ++capped;
     }
@@ -159,18 +161,19 @@ TEST(LengthCapTest, EveryEngineStopsAtTheModelLengthCapLikeItsOracle) {
   }
   for (size_t i = 0; i < handles.size(); ++i) {
     EXPECT_EQ(session->output(handles[i]),
-              model.GreedyDecode(inputs[i], group[i].max_steps))
+              testing::GreedyDecode(model, inputs[i], group[i].max_steps))
         << "sequence " << i;
   }
 
-  // The legacy BeamDecode is only defined up to max_steps == max_len (its
+  // The reference BeamDecode is only defined up to max_steps == max_len (its
   // Embed asserts beyond), so it is the oracle for any larger budget.
   for (int width : {1, 3}) {
     const auto batched = model.BeamDecodeBatch(inputs, max_steps, width);
     ASSERT_EQ(batched.size(), inputs.size());
     size_t beam_capped = 0;
     for (size_t i = 0; i < inputs.size(); ++i) {
-      EXPECT_EQ(batched[i], model.BeamDecode(inputs[i], cfg.max_len, width))
+      EXPECT_EQ(batched[i],
+                testing::BeamDecode(model, inputs[i], cfg.max_len, width))
           << "width " << width << " sequence " << i;
       if (batched[i].size() == static_cast<size_t>(cfg.max_len)) {
         ++beam_capped;
@@ -415,6 +418,113 @@ TEST(NeuralModelBatchTest, TransformBatchMatchesPerPromptTransform) {
       EXPECT_EQ(batched[i].status().code(), serial.status().code());
     }
   }
+}
+
+// Every greedy entry point of NeuralSeq2SeqModel — Transform,
+// TransformBatch, and the stream decoder behind continuous batching
+// (Prepare -> Admit -> Step) — checked on the same prompts against the
+// autograd reference at each prompt's own budget, one of them below the
+// model's max_output_tokens.
+TEST(NeuralModelBatchTest, EveryGreedyEntryPointMatchesTheAutogradReference) {
+  Rng rng(103);
+  auto transformer = std::make_shared<nn::Transformer>(TinyConfig(), &rng);
+  SerializerOptions sopts;
+  sopts.max_tokens = 96;
+  const Serializer serializer(sopts);
+  NeuralModelOptions nopts;
+  nopts.max_output_tokens = 12;
+  NeuralSeq2SeqModel model(transformer, serializer, nopts);
+  std::vector<Prompt> prompts;
+  for (const char* src : {"alpha", "beta-gamma", "de", "epsilon", "zeta"}) {
+    Prompt p;
+    p.examples = {{"abc", "xyz"}, {"mno", "pqr"}};
+    p.source = src;
+    prompts.push_back(std::move(p));
+  }
+  prompts[1].max_output_tokens = 4;   // below the model's maximum
+  prompts[3].max_output_tokens = 40;  // clamped to the model's maximum
+  const std::vector<int> budgets = {12, 4, 12, 12, 12};
+  // The short budget must cut a decode that would otherwise run longer.
+  ASSERT_GT(testing::GreedyDecode(*transformer,
+                                  serializer.EncodePrompt(prompts[1]), 12)
+                .size(),
+            4u);
+  ByteTokenizer tokenizer;
+  std::vector<std::string> expected;
+  for (size_t i = 0; i < prompts.size(); ++i) {
+    expected.push_back(tokenizer.Decode(testing::GreedyDecode(
+        *transformer, serializer.EncodePrompt(prompts[i]), budgets[i])));
+  }
+
+  const std::vector<Result<std::string>> batched =
+      model.TransformBatch(prompts);
+  ASSERT_EQ(batched.size(), prompts.size());
+  for (size_t i = 0; i < prompts.size(); ++i) {
+    const Result<std::string> single = model.Transform(prompts[i]);
+    ASSERT_TRUE(single.ok()) << "prompt " << i;
+    EXPECT_EQ(single.value(), expected[i]) << "Transform, prompt " << i;
+    ASSERT_TRUE(batched[i].ok()) << "prompt " << i;
+    EXPECT_EQ(batched[i].value(), expected[i])
+        << "TransformBatch, prompt " << i;
+  }
+
+  // Two slots for five prompts, so later prompts join mid-decode in rows
+  // that earlier ones released.
+  std::unique_ptr<TokenStreamDecoder> stream = model.NewStreamDecoder({2});
+  ASSERT_NE(stream, nullptr);
+  std::vector<std::string> streamed(prompts.size());
+  std::map<int, size_t> resident;  // slot -> prompt index
+  size_t next = 0;
+  for (int guard = 0;
+       guard < 256 && (next < prompts.size() || !resident.empty());
+       ++guard) {
+    std::vector<PreparedPrompt> group;
+    std::vector<size_t> members;
+    if (next < prompts.size() && stream->free_slots() > 0) {
+      Result<PreparedPrompt> prepared = stream->Prepare(prompts[next]);
+      ASSERT_TRUE(prepared.ok()) << "prompt " << next;
+      group.push_back(std::move(prepared).value());
+      members.push_back(next++);
+    }
+    const std::vector<int> slots = stream->Admit(group);
+    for (size_t g = 0; g < slots.size(); ++g) resident[slots[g]] = members[g];
+    for (const TokenStreamDecoder::Finished& done : stream->Step()) {
+      streamed[resident.at(done.slot)] = done.output;
+      resident.erase(done.slot);
+    }
+  }
+  ASSERT_TRUE(resident.empty());
+  for (size_t i = 0; i < prompts.size(); ++i) {
+    EXPECT_EQ(streamed[i], expected[i]) << "stream decoder, prompt " << i;
+  }
+}
+
+// Prepare and Transform reject the same prompts with the same status.
+TEST(NeuralModelBatchTest, PrepareAndTransformReportTheSameErrors) {
+  Rng rng(104);
+  auto transformer = std::make_shared<nn::Transformer>(TinyConfig(), &rng);
+  // The serializer admits more tokens than the model's max_len (96), so a
+  // long prompt is only caught by the length check.
+  NeuralSeq2SeqModel model(transformer, Serializer(SerializerOptions{}));
+  std::unique_ptr<TokenStreamDecoder> stream = model.NewStreamDecoder({1});
+  ASSERT_NE(stream, nullptr);
+  Prompt empty_context;
+  empty_context.source = "alpha";
+  Prompt over_length;
+  over_length.examples = {{std::string(60, 'a'), std::string(60, 'b')}};
+  over_length.source = std::string(60, 'c');
+  for (const Prompt& prompt : {empty_context, over_length}) {
+    const Result<std::string> transformed = model.Transform(prompt);
+    const Result<PreparedPrompt> prepared = stream->Prepare(prompt);
+    ASSERT_FALSE(transformed.ok());
+    ASSERT_FALSE(prepared.ok());
+    EXPECT_EQ(prepared.status().code(), transformed.status().code());
+    EXPECT_EQ(prepared.status().message(), transformed.status().message());
+  }
+  EXPECT_EQ(model.Transform(empty_context).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(model.Transform(over_length).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include "models/neural_model.h"
 #include "nn/transformer.h"
+#include "testing/reference_decode.h"
 #include "text/vocab.h"
 
 namespace dtt {
@@ -57,7 +58,7 @@ TEST(BeamDecodeBatchTest, BitExactWithPerPromptBeamDecodeAcrossWidths) {
         model.BeamDecodeBatch(prompts, 16, width);
     ASSERT_EQ(batched.size(), prompts.size());
     for (size_t p = 0; p < prompts.size(); ++p) {
-      EXPECT_EQ(batched[p], model.BeamDecode(prompts[p], 16, width))
+      EXPECT_EQ(batched[p], testing::BeamDecode(model, prompts[p], 16, width))
           << "width " << width << " prompt " << p;
     }
   }
@@ -71,7 +72,7 @@ TEST(BeamDecodeBatchTest, DuplicatePromptsShareOneDecode) {
   std::vector<std::vector<int>> batched =
       model.BeamDecodeBatch({prompt, prompt, prompt}, 12, 3);
   ASSERT_EQ(batched.size(), 3u);
-  const std::vector<int> reference = model.BeamDecode(prompt, 12, 3);
+  const std::vector<int> reference = testing::BeamDecode(model, prompt, 12, 3);
   for (size_t p = 0; p < batched.size(); ++p) {
     EXPECT_EQ(batched[p], reference) << "duplicate " << p;
   }
@@ -90,7 +91,7 @@ TEST(BeamDecodeBatchTest, KvReorderStaysExactOverLongDecodes) {
   std::vector<std::vector<int>> batched =
       model.BeamDecodeBatch(prompts, 48, 4);
   for (size_t p = 0; p < prompts.size(); ++p) {
-    EXPECT_EQ(batched[p], model.BeamDecode(prompts[p], 48, 4))
+    EXPECT_EQ(batched[p], testing::BeamDecode(model, prompts[p], 48, 4))
         << "prompt " << p;
   }
 }
@@ -106,8 +107,8 @@ TEST(BeamDecodeBatchTest, WidthOneMatchesGreedyDecode) {
   std::vector<std::vector<int>> batched =
       model.BeamDecodeBatch(prompts, 20, 1);
   for (size_t p = 0; p < prompts.size(); ++p) {
-    EXPECT_EQ(batched[p], model.GreedyDecode(prompts[p], 20)) << "prompt "
-                                                              << p;
+    EXPECT_EQ(batched[p], testing::GreedyDecode(model, prompts[p], 20))
+        << "prompt " << p;
   }
 }
 
@@ -123,10 +124,10 @@ TEST(BeamDecodeBatchTest, EdgeCases) {
   EXPECT_TRUE(none[0].empty());
   // A single-prompt batch is the common Transform path.
   EXPECT_EQ(model.BeamDecodeBatch({prompt}, 10, 2)[0],
-            model.BeamDecode(prompt, 10, 2));
+            testing::BeamDecode(model, prompt, 10, 2));
   // beam_size < 1 clamps to 1 instead of inheriting the reference's UB.
   EXPECT_EQ(model.BeamDecodeBatch({prompt}, 10, 0)[0],
-            model.BeamDecode(prompt, 10, 1));
+            testing::BeamDecode(model, prompt, 10, 1));
 }
 
 // Model-level wiring: with beam_size > 1 the batched TransformBatch must

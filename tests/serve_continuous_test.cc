@@ -195,8 +195,9 @@ TEST(ServeContinuousTest, BitIdenticalToFixedBatchOracleAcrossSchedules) {
 // ---------------------------------------------------------------------------
 // The seeded adversarial schedule: one long decode holds a slot while short
 // requests arrive, forcing (a) admission into a running batch, (b) slot
-// reuse after the shorts finish, and (c) eviction of finished sequences with
-// KV-row compaction behind them — all in one run, still byte-identical.
+// reuse after the shorts finish, and (c) eviction of finished sequences,
+// their KV rows reused by later admissions — all in one run, still
+// byte-identical.
 // ---------------------------------------------------------------------------
 TEST(ServeContinuousTest, AdversarialScheduleMidDecodeAdmissionAndCompaction) {
   const auto examples = NameExamples();
@@ -227,10 +228,6 @@ TEST(ServeContinuousTest, AdversarialScheduleMidDecodeAdmissionAndCompaction) {
     TransformService service(model, opts);
     oracle = RunSchedule(&service, reqs, examples);
   }
-
-  obs::Counter* compact_moves =
-      obs::GlobalMetrics().GetCounter("nn.session.compact_moves");
-  const uint64_t moves_before = compact_moves->Value();
 
   auto model = TinyNeuralModel(model_seed, 48);
   ServeOptions opts = BaseOptions(service_seed);
@@ -265,9 +262,6 @@ TEST(ServeContinuousTest, AdversarialScheduleMidDecodeAdmissionAndCompaction) {
   EXPECT_EQ(stats.backends[0].cb_evicted, prompts);
   // More admission groups than one => prompts joined a running batch.
   EXPECT_GE(stats.backends[0].cb_admit_groups, 2u);
-  // Short sequences finished in front of the long one, leaving KV holes the
-  // decoder compacted away.
-  EXPECT_GT(compact_moves->Value(), moves_before);
 }
 
 // ---------------------------------------------------------------------------
