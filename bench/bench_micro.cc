@@ -14,7 +14,6 @@
 #include "io/model_artifact.h"
 #include "models/alignment.h"
 #include "models/pattern_induction.h"
-#include "nn/checkpoint.h"
 #include "nn/trainer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -411,14 +410,13 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
-// Model cold-start: the same weights materialized through the two
-// containers. BM_LoadCheckpoint is construct + DTTCKPT1 parse + copy (the
-// heap path); BM_LoadArtifact is construct + DTTART1 mmap bind with the
-// eager payload checksum off (the serving posture) — the delta is what the
-// registry saves per cold load.
+// Model cold-start: the same DTTART1 file through its two loads.
+// BM_LoadArtifactParams is construct + full-verification open + copy into
+// owned storage (the trainable heap path); BM_LoadArtifact is construct +
+// mmap bind with the eager payload checksum off (the serving posture) — the
+// delta is what the registry saves per cold load.
 struct LoadBenchFiles {
   nn::TransformerConfig cfg;
-  std::string ckpt;
   std::string artifact;
 
   LoadBenchFiles() {
@@ -431,32 +429,30 @@ struct LoadBenchFiles {
     const auto dir =
         std::filesystem::temp_directory_path() / "dtt_bench_micro_io";
     std::filesystem::create_directories(dir);
-    ckpt = (dir / "model.ckpt").string();
     artifact = (dir / "model.dttart").string();
     Rng rng(11);
     nn::Transformer model(cfg, &rng);
-    if (!nn::SaveCheckpoint(ckpt, model.Params()).ok() ||
-        !io::ConvertCheckpointToArtifact(ckpt, artifact).ok()) {
+    if (!io::SaveArtifact(artifact, model.Params()).ok()) {
       std::fprintf(stderr, "BM_Load setup failed\n");
       std::abort();
     }
   }
 };
 
-void BM_LoadCheckpoint(benchmark::State& state) {
+void BM_LoadArtifactParams(benchmark::State& state) {
   static LoadBenchFiles files;
   for (auto _ : state) {
     Rng rng(0);
     nn::Transformer model(files.cfg, &rng);
     auto params = model.Params();
-    if (!nn::LoadCheckpoint(files.ckpt, &params).ok()) {
-      state.SkipWithError("LoadCheckpoint failed");
+    if (!io::LoadArtifactParams(files.artifact, &params).ok()) {
+      state.SkipWithError("LoadArtifactParams failed");
       break;
     }
     benchmark::DoNotOptimize(params);
   }
 }
-BENCHMARK(BM_LoadCheckpoint);
+BENCHMARK(BM_LoadArtifactParams);
 
 void BM_LoadArtifact(benchmark::State& state) {
   static LoadBenchFiles files;

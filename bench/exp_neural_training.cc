@@ -10,7 +10,7 @@
 
 #include "bench/exp_common.h"
 #include "eval/report.h"
-#include "nn/checkpoint.h"
+#include "io/model_artifact.h"
 #include "nn/trainer.h"
 #include "text/tokenizer.h"
 #include "util/stopwatch.h"
@@ -126,9 +126,9 @@ int Main() {
   samples.Print();
 
   // Demonstrate checkpointing of the trained model.
-  std::string path = "/tmp/dtt_neural_demo.ckpt";
+  std::string path = "/tmp/dtt_neural_demo.dttart";
   auto params = model->Params();
-  if (nn::SaveCheckpoint(path, params).ok()) {
+  if (io::SaveArtifact(path, params).ok()) {
     std::printf("checkpoint written to %s\n", path.c_str());
   }
   ctx.Finish();

@@ -32,7 +32,6 @@
 #include "io/model_artifact.h"
 #include "models/neural_model.h"
 #include "models/pattern_induction.h"
-#include "nn/checkpoint.h"
 #include "obs/metrics.h"
 #include "serve/model_registry.h"
 #include "serve/service.h"
@@ -304,8 +303,10 @@ int Main() {
   }
 
   // (e) Multi-model serving: three artifact-backed neural models behind
-  // serve::ModelRegistry. Reports cold-load latency heap vs mmap (bit-
-  // identity asserted), then p50/p99 under key-mixed traffic with a
+  // serve::ModelRegistry. Reports cold-load latency of the two loads of
+  // one .dttart file — heap copy (LoadArtifactParams, payload checksum
+  // verified) vs mmap bind (LoadArtifact, verification off) — with bit-
+  // identity asserted, then p50/p99 under key-mixed traffic with a
   // resident-bytes cap sized to force evictions. Artifacts land in
   // DTT_ARTIFACT_DIR when set (CI uploads them), a temp dir otherwise.
   PrintBanner("(e) multi-model registry (mmap artifacts)");
@@ -331,19 +332,16 @@ int Main() {
     neural_opts.max_output_tokens = 8;
 
     constexpr int kModels = 3;
-    std::vector<std::string> ckpts, artifacts, keys;
+    std::vector<std::string> artifacts, keys;
     for (int m = 0; m < kModels; ++m) {
       Rng init_rng(kSeed + 10 + static_cast<uint64_t>(m));
       nn::Transformer model(cfg, &init_rng);
       const std::string key = "model" + std::to_string(m);
-      const std::string ckpt = (dir / (key + ".ckpt")).string();
       const std::string art = (dir / (key + ".dttart")).string();
-      if (!nn::SaveCheckpoint(ckpt, model.Params()).ok() ||
-          !io::ConvertCheckpointToArtifact(ckpt, art).ok()) {
+      if (!io::SaveArtifact(art, model.Params()).ok()) {
         std::fprintf(stderr, "FAIL: artifact fleet setup\n");
         return 1;
       }
-      ckpts.push_back(ckpt);
       artifacts.push_back(art);
       keys.push_back(key);
     }
@@ -358,7 +356,7 @@ int Main() {
       Rng heap_rng(1);
       nn::Transformer heap_model(cfg, &heap_rng);
       auto heap_params = heap_model.Params();
-      if (!nn::LoadCheckpoint(ckpts[0], &heap_params).ok()) {
+      if (!io::LoadArtifactParams(artifacts[0], &heap_params).ok()) {
         std::fprintf(stderr, "FAIL: heap cold load\n");
         return 1;
       }
@@ -397,8 +395,8 @@ int Main() {
         .Set("parity_mismatches", static_cast<int64_t>(parity_mismatches));
     if (parity_mismatches != 0) {
       std::fprintf(stderr,
-                   "FAIL: artifact-loaded weights diverge from the heap "
-                   "checkpoint path\n");
+                   "FAIL: mmap-bound weights diverge from the heap "
+                   "copy\n");
       return 1;
     }
 

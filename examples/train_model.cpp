@@ -7,8 +7,8 @@
 #include <cstdio>
 
 #include "core/pipeline.h"
+#include "io/model_artifact.h"
 #include "models/neural_model.h"
-#include "nn/checkpoint.h"
 #include "nn/trainer.h"
 
 int main() {
@@ -49,10 +49,10 @@ int main() {
                 epoch, loss, eval.exact_match, eval.mean_aned);
   }
 
-  std::string ckpt = "/tmp/dtt_example_model.ckpt";
+  std::string artifact = "/tmp/dtt_example_model.dttart";
   auto params = model->Params();
-  if (nn::SaveCheckpoint(ckpt, params).ok()) {
-    std::printf("saved checkpoint: %s\n", ckpt.c_str());
+  if (io::SaveArtifact(artifact, params).ok()) {
+    std::printf("saved model artifact: %s\n", artifact.c_str());
   }
 
   // The trained model as a DTT backend.

@@ -1,15 +1,21 @@
 #include "io/artifact.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <initializer_list>
 
 namespace dtt {
 namespace io {
 
 namespace {
 
-// Structural sanity bounds, mirroring nn/checkpoint.cc: a valid artifact is
-// nowhere near these, a corrupt length field routinely is.
+// Structural sanity bounds: a valid artifact is nowhere near these, a
+// corrupt length field routinely is.
 constexpr uint32_t kMaxTensors = 1u << 20;
 constexpr uint32_t kMaxNameLen = 1u << 12;
 constexpr uint32_t kMaxRank = 8;
@@ -58,6 +64,51 @@ class ViewReader {
 
 Status Malformed(const std::string& what) {
   return Status::InvalidArgument("malformed DTTART1 artifact: " + what);
+}
+
+bool WriteAll(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<size_t>(n));
+  }
+  return true;
+}
+
+/// Writes `parts` to a sibling of `path` and renames it over `path`. The
+/// old file is never rewritten in place, so a model still bound to its
+/// mapping keeps its weights, and a failed write leaves `path` as it was;
+/// the sibling is removed on any failure. The sibling's name carries the
+/// pid and a per-process counter, so no two live writers share one.
+Status ReplaceFile(const std::string& path,
+                   std::initializer_list<std::string_view> parts) {
+  static std::atomic<uint64_t> next_id{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(next_id.fetch_add(1));
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    return Status::IOError("cannot open for write: " + path + ": " +
+                           std::strerror(errno));
+  }
+  bool ok = true;
+  for (std::string_view part : parts) ok = ok && WriteAll(fd, part);
+  int err = ok ? 0 : errno;
+  if (::close(fd) != 0 && ok) {
+    ok = false;
+    err = errno;
+  }
+  if (ok && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    ok = false;
+    err = errno;
+  }
+  if (!ok) {
+    std::remove(tmp.c_str());
+    return Status::IOError("write failed: " + path + ": " +
+                           std::strerror(err));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -292,18 +343,10 @@ Status ArtifactWriter::Write(const std::string& path) const {
     return Status::Internal("artifact header size accounting mismatch");
   }
 
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return Status::IOError("cannot open for write: " + path);
-  os.write(header.data(), static_cast<std::streamsize>(header.size()));
-  os.write(index.data(), static_cast<std::streamsize>(index.size()));
-  // Pad the gap between index and the aligned payload start with zeros.
-  for (size_t pad = payload_start - kArtifactHeaderBytes - index_bytes;
-       pad > 0; --pad) {
-    os.put('\0');
-  }
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!os) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  // Zero padding between the index and the aligned payload start.
+  const std::string padding(
+      payload_start - kArtifactHeaderBytes - index_bytes, '\0');
+  return ReplaceFile(path, {header, index, padding, payload});
 }
 
 }  // namespace io

@@ -113,7 +113,10 @@ class ArtifactWriter {
            size_t size);
 
   /// Writes the artifact; computes offsets, padding, and both checksums.
-  /// Duplicate names are InvalidArgument.
+  /// Duplicate names are InvalidArgument. The file is written beside
+  /// `path` and renamed over it, so a model bound to the previous file
+  /// (LoadArtifact) keeps its weights and a failed write leaves `path`
+  /// untouched.
   Status Write(const std::string& path) const;
 
  private:

@@ -1,5 +1,6 @@
 #include "io/model_artifact.h"
 
+#include <cstring>
 #include <utility>
 
 #include "util/rng.h"
@@ -17,31 +18,22 @@ Status SaveArtifact(const std::string& path,
   return writer.Write(path);
 }
 
-Status ConvertCheckpointToArtifact(const std::string& checkpoint_path,
-                                   const std::string& artifact_path) {
-  DTT_ASSIGN_OR_RETURN(std::vector<nn::RawTensorData> tensors,
-                       nn::ReadCheckpointTensors(checkpoint_path));
-  ArtifactWriter writer;
-  for (const auto& t : tensors) {
-    writer.Add(t.name, t.shape, t.data.data(), t.data.size());
-  }
-  return writer.Write(artifact_path);
-}
+namespace {
 
-Status BindArtifact(const std::shared_ptr<ArtifactFile>& artifact,
-                    std::vector<nn::NamedParam>* params) {
-  if (artifact == nullptr) {
-    return Status::InvalidArgument("BindArtifact: null artifact");
-  }
-  if (artifact->tensors().size() != params->size()) {
+/// Checks that `artifact` holds exactly `params`: the same count, and for
+/// every parameter a tensor of that name with the same shape and an f32
+/// payload. Both loads run it before writing any parameter (no partial
+/// loads).
+Status CheckParamsMatch(const ArtifactFile& artifact,
+                        const std::vector<nn::NamedParam>& params) {
+  if (artifact.tensors().size() != params.size()) {
     return Status::InvalidArgument(
         "artifact has different parameter count (" +
-        std::to_string(artifact->tensors().size()) + " vs " +
-        std::to_string(params->size()) + ")");
+        std::to_string(artifact.tensors().size()) + " vs " +
+        std::to_string(params.size()) + ")");
   }
-  // Validate everything before binding anything (no partial loads).
-  for (const auto& p : *params) {
-    const ArtifactTensor* t = artifact->Find(p.name);
+  for (const auto& p : params) {
+    const ArtifactTensor* t = artifact.Find(p.name);
     if (t == nullptr) {
       return Status::InvalidArgument("artifact is missing parameter: " +
                                      p.name);
@@ -55,6 +47,37 @@ Status BindArtifact(const std::shared_ptr<ArtifactFile>& artifact,
                                      p.name);
     }
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status LoadArtifactParams(const std::string& path,
+                          std::vector<nn::NamedParam>* params) {
+  DTT_ASSIGN_OR_RETURN(std::shared_ptr<ArtifactFile> artifact,
+                       ArtifactFile::Open(path));
+  DTT_RETURN_NOT_OK(CheckParamsMatch(*artifact, *params));
+  for (auto& p : *params) {
+    const ArtifactTensor* t = artifact->Find(p.name);
+    nn::Tensor& dst = p.var.mutable_value();
+    if (dst.borrowed()) {
+      // The previous value may be an artifact-backed view, which rejects
+      // in-place writes; loading replaces the storage wholesale.
+      dst = nn::Tensor(t->shape);
+    }
+    if (t->size > 0) {
+      std::memcpy(dst.data(), t->data, t->size * sizeof(float));
+    }
+  }
+  return Status::OK();
+}
+
+Status BindArtifact(const std::shared_ptr<ArtifactFile>& artifact,
+                    std::vector<nn::NamedParam>* params) {
+  if (artifact == nullptr) {
+    return Status::InvalidArgument("BindArtifact: null artifact");
+  }
+  DTT_RETURN_NOT_OK(CheckParamsMatch(*artifact, *params));
   for (auto& p : *params) {
     const ArtifactTensor* t = artifact->Find(p.name);
     p.var.mutable_value() = nn::Tensor::Borrowed(t->shape, t->data, t->size);

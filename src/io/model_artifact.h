@@ -6,25 +6,27 @@
 #include <vector>
 
 #include "io/artifact.h"
-#include "nn/checkpoint.h"
+#include "nn/layers.h"
 #include "nn/transformer.h"
 
 namespace dtt {
 namespace io {
 
 /// Writes the parameters as one DTTART1 artifact (names and shapes exactly
-/// as CollectParams reports them — the same identity contract as
-/// nn::SaveCheckpoint).
+/// as CollectParams reports them). This is the one weight format: training
+/// saves it, LoadArtifactParams reads it back as writable weights, and
+/// LoadArtifact serves it from the mmap.
 Status SaveArtifact(const std::string& path,
                     const std::vector<nn::NamedParam>& params);
 
-/// Converts a DTTCKPT1 heap checkpoint into a DTTART1 artifact, tensor for
-/// tensor, without constructing a model (tools/ckpt_to_artifact wraps this
-/// as a CLI). The artifact round-trips bit-identically: LoadArtifact of the
-/// output binds exactly the float payloads LoadCheckpoint of the input
-/// copies.
-Status ConvertCheckpointToArtifact(const std::string& checkpoint_path,
-                                   const std::string& artifact_path);
+/// Loads the DTTART1 file at `path` into existing parameters as owned,
+/// writable tensors: the heap copy a trainable model needs. Opens with the
+/// default options (payload checksum verified), matches tensors by name,
+/// and validates count, names, shapes and dtype before writing anything, so
+/// a non-OK return leaves `params` unchanged. A borrowed parameter is
+/// rebound to fresh storage, never written through.
+Status LoadArtifactParams(const std::string& path,
+                          std::vector<nn::NamedParam>* params);
 
 /// Re-binds every parameter in `params` to a read-only borrowed view
 /// (nn::Tensor::Borrowed) over `artifact`'s mapped payloads. Validates
@@ -44,7 +46,7 @@ struct ArtifactModel {
 /// Materializes a Transformer of configuration `cfg` whose weight tensors
 /// are mmap-backed read-only views into the DTTART1 file at `path` — the
 /// near-instant, page-cache-shared counterpart of constructing a model and
-/// nn::LoadCheckpoint'ing into it. The model is inference-only: optimizer
+/// LoadArtifactParams'ing into it. The model is inference-only: optimizer
 /// steps (any in-place weight write) abort by the borrowed-tensor contract.
 Result<ArtifactModel> LoadArtifact(const std::string& path,
                                    const nn::TransformerConfig& cfg,

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -11,7 +12,7 @@
 
 #include "io/mmap_file.h"
 #include "io/model_artifact.h"
-#include "nn/checkpoint.h"
+#include "nn/autograd.h"
 #include "nn/transformer.h"
 #include "testing/matchers.h"
 #include "testing/temp_dir.h"
@@ -239,19 +240,14 @@ class ModelArtifactTest : public TempDirTest {
   }
 };
 
-TEST_F(ModelArtifactTest, ConvertedArtifactBindsBitIdenticalToCheckpoint) {
-  const std::string ckpt = TempFile("model.ckpt");
+TEST_F(ModelArtifactTest, SavedArtifactBindsBitIdenticalToSourceModel) {
   const std::string art = TempFile("model.dttart");
   Rng rng(7);
   nn::Transformer saved(TinyConfig(), &rng);
-  ASSERT_TRUE(nn::SaveCheckpoint(ckpt, saved.Params()).ok());
-  ASSERT_TRUE(ConvertCheckpointToArtifact(ckpt, art).ok());
+  ASSERT_TRUE(SaveArtifact(art, saved.Params()).ok());
 
-  // The heap oracle: construct + LoadCheckpoint.
-  Rng heap_rng(99);
-  nn::Transformer heap_model(TinyConfig(), &heap_rng);
-  auto heap_params = heap_model.Params();
-  ASSERT_TRUE(nn::LoadCheckpoint(ckpt, &heap_params).ok());
+  // The heap oracle: the saved model's own parameters.
+  auto heap_params = saved.Params();
 
   // The mmap path: LoadArtifact.
   auto loaded = LoadArtifact(art, TinyConfig());
@@ -271,17 +267,10 @@ TEST_F(ModelArtifactTest, ConvertedArtifactBindsBitIdenticalToCheckpoint) {
 }
 
 TEST_F(ModelArtifactTest, ArtifactModelDecodesIdenticallyToHeapModel) {
-  const std::string ckpt = TempFile("model.ckpt");
   const std::string art = TempFile("model.dttart");
   Rng rng(13);
-  nn::Transformer saved(TinyConfig(), &rng);
-  ASSERT_TRUE(nn::SaveCheckpoint(ckpt, saved.Params()).ok());
-  ASSERT_TRUE(ConvertCheckpointToArtifact(ckpt, art).ok());
-
-  Rng heap_rng(5);
-  nn::Transformer heap_model(TinyConfig(), &heap_rng);
-  auto heap_params = heap_model.Params();
-  ASSERT_TRUE(nn::LoadCheckpoint(ckpt, &heap_params).ok());
+  nn::Transformer heap_model(TinyConfig(), &rng);
+  ASSERT_TRUE(SaveArtifact(art, heap_model.Params()).ok());
 
   auto loaded = LoadArtifact(art, TinyConfig());
   ASSERT_TRUE(loaded.ok());
@@ -327,6 +316,286 @@ TEST_F(ModelArtifactTest, BindRejectsWrongShapeWithoutPartialBind) {
 
 TEST_F(ModelArtifactTest, LoadArtifactRejectsMissingFile) {
   EXPECT_FALSE(LoadArtifact(TempFile("missing.dttart"), TinyConfig()).ok());
+}
+
+// Saving over a path that a live model is bound to must not change that
+// model's weights: the save replaces the file, it never rewrites the pages
+// the old mapping still reads.
+TEST_F(ModelArtifactTest, OverwritingPathLeavesLoadedModelUnchanged) {
+  const std::string art = TempFile("model.dttart");
+  Rng rng(3);
+  nn::Transformer first(TinyConfig(), &rng);
+  ASSERT_TRUE(SaveArtifact(art, first.Params()).ok());
+  auto loaded = LoadArtifact(art, TinyConfig());
+  ASSERT_TRUE(loaded.ok());
+
+  Rng other_rng(4);
+  nn::Transformer second(TinyConfig(), &other_rng);
+  ASSERT_TRUE(SaveArtifact(art, second.Params()).ok());
+
+  const auto expected = first.Params();
+  const auto live = loaded.value().model->Params();
+  ASSERT_EQ(live.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_TENSOR_EQ(live[i].var.value(), expected[i].var.value());
+  }
+  // The replacement is what the next load sees.
+  auto reloaded = LoadArtifact(art, TinyConfig());
+  ASSERT_TRUE(reloaded.ok());
+  const auto replaced = second.Params();
+  const auto fresh = reloaded.value().model->Params();
+  for (size_t i = 0; i < replaced.size(); ++i) {
+    EXPECT_TENSOR_EQ(fresh[i].var.value(), replaced[i].var.value());
+  }
+}
+
+// Checkpoints: the trainable weights training saves with SaveArtifact and
+// reads back as owned, writable tensors with LoadArtifactParams.
+class CheckpointTest : public TempDirTest {
+ protected:
+  static nn::NamedParam MakeParam(const std::string& name, nn::Tensor value) {
+    return {name, nn::Var::Leaf(std::move(value), /*requires_grad=*/true)};
+  }
+
+  static std::vector<nn::NamedParam> SmallParams() {
+    std::vector<nn::NamedParam> params;
+    params.push_back(MakeParam(
+        "embed.w", nn::Tensor::FromMatrix(
+                       2, 3, {0.5f, -1.25f, 3e-8f, -0.0f, 42.0f, 7.5f})));
+    params.push_back(MakeParam(
+        "out.b", nn::Tensor::FromVector(
+                     {std::numeric_limits<float>::min(), -2.5f, 1e20f})));
+    return params;
+  }
+
+  /// Structurally identical params with different contents, for load
+  /// targets.
+  static std::vector<nn::NamedParam> SmallParamsOtherValues() {
+    std::vector<nn::NamedParam> params;
+    params.push_back(MakeParam("embed.w", nn::Tensor::Full({2, 3}, 9.0f)));
+    params.push_back(MakeParam("out.b", nn::Tensor::Full({3}, -9.0f)));
+    return params;
+  }
+
+  static bool BitIdentical(const nn::Tensor& a, const nn::Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  }
+
+  /// Loads `path` into `dest` and expects a typed `code` failure that
+  /// leaves every destination bit unchanged.
+  static void ExpectRejectedUntouched(const std::string& path,
+                                      std::vector<nn::NamedParam> dest,
+                                      StatusCode code) {
+    std::vector<nn::Tensor> before;
+    for (const auto& p : dest) before.push_back(p.var.value());
+    EXPECT_EQ(LoadArtifactParams(path, &dest).code(), code);
+    for (size_t i = 0; i < dest.size(); ++i) {
+      EXPECT_TRUE(BitIdentical(dest[i].var.value(), before[i]))
+          << "failed load mutated parameter " << dest[i].name;
+    }
+  }
+
+  /// Corpus check: loading a corrupted variant must either fail typed and
+  /// leave the destination untouched, or load exactly SmallParams() —
+  /// never crash, never commit a partial or altered load.
+  static void ExpectAllOrNothing(const std::string& path,
+                                 const std::string& what) {
+    auto dest = SmallParamsOtherValues();
+    const auto before = SmallParamsOtherValues();
+    const auto saved = SmallParams();
+    const Status status = LoadArtifactParams(path, &dest);
+    const auto& expected = status.ok() ? saved : before;
+    if (!status.ok()) {
+      EXPECT_TRUE(status.code() == StatusCode::kInvalidArgument ||
+                  status.code() == StatusCode::kIOError)
+          << what << ": " << status.ToString();
+    }
+    for (size_t i = 0; i < dest.size(); ++i) {
+      EXPECT_TRUE(
+          BitIdentical(dest[i].var.value(), expected[i].var.value()))
+          << what << (status.ok() ? " loaded altered " : " mutated ")
+          << dest[i].name;
+    }
+  }
+};
+
+TEST_F(CheckpointTest, SaveLoadRestoresExactValues) {
+  const std::string path = TempFile("ckpt.dttart");
+  auto saved = SmallParams();
+  ASSERT_TRUE(SaveArtifact(path, saved).ok());
+
+  auto loaded = SmallParamsOtherValues();
+  ASSERT_TRUE(LoadArtifactParams(path, &loaded).ok());
+  for (size_t i = 0; i < saved.size(); ++i) {
+    EXPECT_FALSE(loaded[i].var.value().borrowed());
+    EXPECT_TRUE(BitIdentical(loaded[i].var.value(), saved[i].var.value()))
+        << saved[i].name;
+  }
+}
+
+TEST_F(CheckpointTest, LoadMatchesByNameNotOrder) {
+  const std::string path = TempFile("ckpt.dttart");
+  auto saved = SmallParams();
+  ASSERT_TRUE(SaveArtifact(path, saved).ok());
+
+  // Destination lists the same parameters in reverse order.
+  auto loaded = SmallParamsOtherValues();
+  std::swap(loaded[0], loaded[1]);
+  ASSERT_TRUE(LoadArtifactParams(path, &loaded).ok());
+  EXPECT_EQ(loaded[0].name, "out.b");
+  EXPECT_TENSOR_EQ(loaded[0].var.value(), saved[1].var.value());
+  EXPECT_TENSOR_EQ(loaded[1].var.value(), saved[0].var.value());
+}
+
+TEST_F(CheckpointTest, SaveLoadEmptyParamList) {
+  const std::string path = TempFile("empty.dttart");
+  std::vector<nn::NamedParam> none;
+  ASSERT_TRUE(SaveArtifact(path, none).ok());
+  EXPECT_TRUE(LoadArtifactParams(path, &none).ok());
+}
+
+TEST_F(CheckpointTest, LoadRejectsShapeMismatch) {
+  const std::string path = TempFile("ckpt.dttart");
+  ASSERT_TRUE(SaveArtifact(path, SmallParams()).ok());
+
+  std::vector<nn::NamedParam> wrong;
+  wrong.push_back(MakeParam("embed.w", nn::Tensor::Full({3, 2}, 9.0f)));
+  wrong.push_back(MakeParam("out.b", nn::Tensor::Full({3}, -9.0f)));
+  ExpectRejectedUntouched(path, std::move(wrong),
+                          StatusCode::kInvalidArgument);
+}
+
+TEST_F(CheckpointTest, LoadRejectsUnknownName) {
+  const std::string path = TempFile("ckpt.dttart");
+  ASSERT_TRUE(SaveArtifact(path, SmallParams()).ok());
+
+  std::vector<nn::NamedParam> wrong;
+  wrong.push_back(MakeParam("embed.w", nn::Tensor::Full({2, 3}, 9.0f)));
+  wrong.push_back(MakeParam("renamed.b", nn::Tensor::Full({3}, -9.0f)));
+  ExpectRejectedUntouched(path, std::move(wrong),
+                          StatusCode::kInvalidArgument);
+}
+
+TEST_F(CheckpointTest, LoadRejectsParamCountMismatch) {
+  const std::string path = TempFile("ckpt.dttart");
+  ASSERT_TRUE(SaveArtifact(path, SmallParams()).ok());
+
+  std::vector<nn::NamedParam> fewer;
+  fewer.push_back(MakeParam("embed.w", nn::Tensor::Full({2, 3}, 9.0f)));
+  ExpectRejectedUntouched(path, std::move(fewer),
+                          StatusCode::kInvalidArgument);
+}
+
+TEST_F(CheckpointTest, LoadRejectsBadMagic) {
+  const std::string path = TempFile("bad_magic.dttart");
+  WriteFileBytes(path, std::string(64, 'x'));
+  ExpectRejectedUntouched(path, SmallParamsOtherValues(),
+                          StatusCode::kInvalidArgument);
+}
+
+TEST_F(CheckpointTest, LoadRejectsTruncatedFile) {
+  const std::string full_path = TempFile("full.dttart");
+  ASSERT_TRUE(SaveArtifact(full_path, SmallParams()).ok());
+  const std::string bytes = ReadFileBytes(full_path);
+  ASSERT_GT(bytes.size(), 16u);
+
+  // Cut inside the float payload of the last parameter.
+  const std::string trunc_path = TempFile("trunc.dttart");
+  WriteFileBytes(trunc_path, bytes.substr(0, bytes.size() - 5));
+  ExpectRejectedUntouched(trunc_path, SmallParamsOtherValues(),
+                          StatusCode::kInvalidArgument);
+}
+
+TEST_F(CheckpointTest, LoadMissingFileFails) {
+  ExpectRejectedUntouched(TempFile("does_not_exist.dttart"),
+                          SmallParamsOtherValues(), StatusCode::kIOError);
+}
+
+TEST_F(CheckpointTest, SaveToUnwritablePathFails) {
+  EXPECT_EQ(SaveArtifact(TempFile("no_such_dir/ckpt.dttart"), SmallParams())
+                .code(),
+            StatusCode::kIOError);
+}
+
+TEST_F(CheckpointTest, TypedErrors) {
+  auto params = SmallParams();
+  EXPECT_EQ(LoadArtifactParams(TempFile("missing.dttart"), &params).code(),
+            StatusCode::kIOError);
+
+  const std::string header_only = TempFile("header_only.dttart");
+  WriteFileBytes(header_only, std::string(kArtifactMagic, 8));
+  EXPECT_EQ(LoadArtifactParams(header_only, &params).code(),
+            StatusCode::kInvalidArgument);
+
+  // A payload bit flip passes every structural check; the checksum that
+  // LoadArtifactParams always verifies reports it as IOError.
+  const std::string path = TempFile("ckpt.dttart");
+  ASSERT_TRUE(SaveArtifact(path, SmallParams()).ok());
+  std::string bytes = ReadFileBytes(path);
+  bytes[bytes.size() - 1] = static_cast<char>(bytes[bytes.size() - 1] ^ 1);
+  const std::string flipped = TempFile("flipped.dttart");
+  WriteFileBytes(flipped, bytes);
+  EXPECT_EQ(LoadArtifactParams(flipped, &params).code(), StatusCode::kIOError);
+}
+
+TEST_F(CheckpointTest, LoadIntoBorrowedParamsRebindsOwnedStorage) {
+  const std::string path = TempFile("ckpt.dttart");
+  auto saved = SmallParams();
+  ASSERT_TRUE(SaveArtifact(path, saved).ok());
+
+  // Destination params hold artifact-style borrowed views; loading must
+  // replace them with owned storage instead of writing through the view.
+  std::vector<float> embed_store(6, 9.0f);
+  std::vector<float> bias_store(3, -9.0f);
+  std::vector<nn::NamedParam> dest;
+  dest.push_back(MakeParam("embed.w",
+                           nn::Tensor::Borrowed({2, 3}, embed_store.data(),
+                                                embed_store.size())));
+  dest.push_back(MakeParam(
+      "out.b",
+      nn::Tensor::Borrowed({3}, bias_store.data(), bias_store.size())));
+  ASSERT_TRUE(LoadArtifactParams(path, &dest).ok());
+  for (size_t i = 0; i < saved.size(); ++i) {
+    EXPECT_FALSE(dest[i].var.value().borrowed());
+    EXPECT_TENSOR_EQ(dest[i].var.value(), saved[i].var.value());
+  }
+  // The original storage was never written through.
+  EXPECT_EQ(embed_store, std::vector<float>(6, 9.0f));
+  EXPECT_EQ(bias_store, std::vector<float>(3, -9.0f));
+}
+
+TEST_F(CheckpointTest, CorpusEveryTruncationFailsCleanly) {
+  const std::string path = TempFile("ckpt.dttart");
+  ASSERT_TRUE(SaveArtifact(path, SmallParams()).ok());
+  const std::string bytes = ReadFileBytes(path);
+  ASSERT_GT(bytes.size(), 0u);
+
+  const std::string mutated = TempFile("mutated.dttart");
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    WriteFileBytes(mutated, bytes.substr(0, len));
+    auto dest = SmallParamsOtherValues();
+    EXPECT_FALSE(LoadArtifactParams(mutated, &dest).ok())
+        << "truncation to " << len << " bytes loaded";
+    ExpectAllOrNothing(mutated, "truncation to " + std::to_string(len));
+  }
+}
+
+TEST_F(CheckpointTest, CorpusEveryBitFlipIsAllOrNothing) {
+  const std::string path = TempFile("ckpt.dttart");
+  ASSERT_TRUE(SaveArtifact(path, SmallParams()).ok());
+  const std::string bytes = ReadFileBytes(path);
+
+  const std::string mutated = TempFile("mutated.dttart");
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[pos] = static_cast<char>(flipped[pos] ^ (1 << bit));
+      WriteFileBytes(mutated, flipped);
+      ExpectAllOrNothing(mutated, "bit flip at byte " + std::to_string(pos) +
+                                      " bit " + std::to_string(bit));
+    }
+  }
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "nn/checkpoint.h"
+#include "io/model_artifact.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
 #include "testing/matchers.h"
@@ -204,14 +204,14 @@ TEST_F(ModelCheckpointTest, SaveLoadRoundTrip) {
   Rng rng(13);
   TransformerConfig cfg = TinyConfig();
   Transformer model(cfg, &rng);
-  const std::string path = TempFile("dtt_ckpt_test.bin");
+  const std::string path = TempFile("dtt_ckpt_test.dttart");
   auto params = model.Params();
-  ASSERT_TRUE(SaveCheckpoint(path, params).ok());
+  ASSERT_TRUE(io::SaveArtifact(path, params).ok());
 
   Rng rng2(999);  // different init
   Transformer other(cfg, &rng2);
   auto other_params = other.Params();
-  ASSERT_TRUE(LoadCheckpoint(path, &other_params).ok());
+  ASSERT_TRUE(io::LoadArtifactParams(path, &other_params).ok());
   auto expected = model.Params();
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_TENSOR_EQ(other_params[i].var.value(), expected[i].var.value());
@@ -222,15 +222,15 @@ TEST_F(ModelCheckpointTest, LoadRejectsWrongShape) {
   Rng rng(14);
   TransformerConfig cfg = TinyConfig();
   Transformer model(cfg, &rng);
-  const std::string path = TempFile("dtt_ckpt_bad.bin");
+  const std::string path = TempFile("dtt_ckpt_bad.dttart");
   auto params = model.Params();
-  ASSERT_TRUE(SaveCheckpoint(path, params).ok());
+  ASSERT_TRUE(io::SaveArtifact(path, params).ok());
 
   cfg.dim = 32;  // incompatible width
   Rng rng2(15);
   Transformer other(cfg, &rng2);
   auto other_params = other.Params();
-  EXPECT_FALSE(LoadCheckpoint(path, &other_params).ok());
+  EXPECT_FALSE(io::LoadArtifactParams(path, &other_params).ok());
 }
 
 TEST(TrainerTest, LossDecreasesOnCopyTask) {

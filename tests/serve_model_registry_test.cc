@@ -14,7 +14,6 @@
 #include "io/model_artifact.h"
 #include "models/neural_model.h"
 #include "models/pattern_induction.h"
-#include "nn/checkpoint.h"
 #include "testing/temp_dir.h"
 #include "text/serializer.h"
 #include "util/rng.h"
@@ -372,15 +371,13 @@ class ModelRegistryParityTest : public TempDirTest {
 };
 
 // The registry-parity bar: a neural model served off an mmap'd artifact
-// through the registry predicts bit-identically to the same checkpoint
-// heap-loaded into a plain TransformService.
+// through the registry predicts bit-identically to the saved model itself
+// served from the heap by a plain TransformService.
 TEST_F(ModelRegistryParityTest, ArtifactBackedModelMatchesHeapService) {
-  const std::string ckpt = TempFile("model.ckpt");
   const std::string art = TempFile("model.dttart");
   Rng rng(21);
-  nn::Transformer saved(TinyConfig(), &rng);
-  ASSERT_TRUE(nn::SaveCheckpoint(ckpt, saved.Params()).ok());
-  ASSERT_TRUE(io::ConvertCheckpointToArtifact(ckpt, art).ok());
+  auto saved = std::make_shared<nn::Transformer>(TinyConfig(), &rng);
+  ASSERT_TRUE(io::SaveArtifact(art, saved->Params()).ok());
 
   NeuralModelOptions neural_opts;
   neural_opts.max_output_tokens = 8;
@@ -389,13 +386,9 @@ TEST_F(ModelRegistryParityTest, ArtifactBackedModelMatchesHeapService) {
   serve.decomposer.num_trials = 1;
   serve.seed = 777;
 
-  // Heap oracle: construct + LoadCheckpoint + serve directly.
-  Rng heap_rng(4);
-  auto heap_tf = std::make_shared<nn::Transformer>(TinyConfig(), &heap_rng);
-  auto heap_params = heap_tf->Params();
-  ASSERT_TRUE(nn::LoadCheckpoint(ckpt, &heap_params).ok());
+  // Heap oracle: the saved model, served directly.
   TransformService heap_service(
-      std::make_shared<NeuralSeq2SeqModel>(heap_tf, Serializer(), neural_opts),
+      std::make_shared<NeuralSeq2SeqModel>(saved, Serializer(), neural_opts),
       serve);
 
   // Mmap path: the registry's artifact loader.
