@@ -15,14 +15,11 @@ struct EncodedPrompt;
 }  // namespace nn
 
 /// A prompt prepared for token-level (continuous) decoding: the serialized
-/// input ids plus the effective decode-step budget, the admission cost the
-/// serve scheduler charges against its `max_tokens_in_flight` budget
-/// (KV-cache footprint: input length + decode cap), and the prompt's
-/// encoder output, so admission only copies it into a slot.
+/// input ids plus the effective decode-step budget and the prompt's encoder
+/// output, so admission only copies it into a slot.
 struct PreparedPrompt {
   std::vector<int> input_ids;
   int max_steps = 0;
-  int cost = 0;
   std::shared_ptr<const nn::EncodedPrompt> encoded;
 };
 

@@ -58,16 +58,11 @@ class NeuralStreamDecoder : public TokenStreamDecoder {
   }
 
   Result<PreparedPrompt> Prepare(const Prompt& prompt) const override {
-    Result<PreparedPrompt> validated =
+    Result<PreparedPrompt> prepared =
         ValidatePrompt(prompt, serializer_, options_, model_->config());
-    if (!validated.ok()) return validated.status();
-    PreparedPrompt prepared = std::move(validated).value();
-    // KV-cache footprint in token positions: encoder memory plus the decode
-    // cap (<sos> included) — what the serve scheduler charges against its
-    // max_tokens_in_flight budget.
-    prepared.cost =
-        static_cast<int>(prepared.input_ids.size()) + prepared.max_steps + 1;
-    prepared.encoded = session_->Encode(prepared.input_ids);
+    if (prepared.ok()) {
+      prepared->encoded = session_->Encode(prepared->input_ids);
+    }
     return prepared;
   }
 

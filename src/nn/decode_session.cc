@@ -150,35 +150,8 @@ int DecodeSession::Install(const EncodedPrompt& prompt, int max_steps) {
     std::memcpy(layers_[l].cross_v.data() + dst, prompt.cross_v[l].data(),
                 sizeof(float) * valid);
   }
-  ++stats_.admitted;
   SessionMetrics::Get().admitted->Increment();
   return handle;
-}
-
-std::vector<int> DecodeSession::Admit(const std::vector<Admission>& group) {
-  std::vector<int> handles;
-  if (group.empty()) return handles;
-  assert(static_cast<int>(group.size()) <= free_slots());
-  obs::TraceSpan span("nn", "nn.session_admit");
-  if (span.enabled()) {
-    span.Arg("group", static_cast<int64_t>(group.size()));
-    span.Arg("active", static_cast<int64_t>(active_));
-  }
-  std::vector<std::vector<int>> inputs;
-  inputs.reserve(group.size());
-  for (const Admission& adm : group) inputs.push_back(adm.input_ids);
-  const std::vector<std::shared_ptr<const EncodedPrompt>> encoded =
-      EncodeGroup(inputs);
-  handles.reserve(group.size());
-  for (size_t g = 0; g < group.size(); ++g) {
-    handles.push_back(Install(*encoded[g], group[g].max_steps));
-  }
-  ++stats_.admit_groups;
-  return handles;
-}
-
-int DecodeSession::Admit(const std::vector<int>& input_ids, int max_steps) {
-  return Admit(std::vector<Admission>{{input_ids, max_steps}})[0];
 }
 
 std::vector<int> DecodeSession::Step() {
@@ -235,10 +208,8 @@ std::vector<int> DecodeSession::Step() {
     if (done) {
       slot.done = true;
       finished.push_back(handle);
-      ++stats_.finished;
     }
   }
-  ++stats_.steps;
   SessionMetrics::Get().steps->Increment();
   return finished;
 }
@@ -261,7 +232,6 @@ void DecodeSession::Release(int slot) {
   if (!state.in_use) return;
   // A mid-decode eviction returns the KV row like a finished one: no other
   // slot references it.
-  if (!state.done) ++stats_.evictions;
   state.in_use = false;
   state.done = false;
   state.out.clear();

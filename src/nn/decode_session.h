@@ -1,7 +1,6 @@
 #ifndef DTT_NN_DECODE_SESSION_H_
 #define DTT_NN_DECODE_SESSION_H_
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -24,15 +23,6 @@ struct DecodeSessionOptions {
   int max_steps = 64;
 };
 
-/// Point-in-time session counters (monotonic over the session's lifetime).
-struct DecodeSessionStats {
-  uint64_t admitted = 0;       // sequences installed (Admit or Install)
-  uint64_t admit_groups = 0;   // Admit calls (shared encoder passes)
-  uint64_t steps = 0;          // Step calls that advanced >= 1 sequence
-  uint64_t finished = 0;       // sequences that reached EOS or a cap
-  uint64_t evictions = 0;      // Release calls on a still-live sequence
-};
-
 /// One prompt after the encoder: its memory rows projected through every
 /// decoder layer's cross-attention K and V, ready to copy into a session
 /// slot. Immutable once DecodeSession::Encode returns it.
@@ -53,13 +43,13 @@ struct EncodedPrompt {
 ///
 ///   * Encode() runs one prompt through the unpadded EncodeRows pass and
 ///     projects its cross-attention K/V; Install() copies an encoded prompt
-///     into a free slot with its own decode-step budget. Admit() is both for
-///     a group: one shared encoder pass, then one Install per prompt;
+///     into a free slot with its own decode-step budget. Encode then Install
+///     is the only way into a slot;
 ///   * Step() advances every live sequence one token through one
 ///     Transformer::DecodeStepRows call (the decoder step the beam engine
 ///     shares), whatever mix of admission times and prefix lengths they
 ///     have, and reports the sequences that finished (EOS, budget, or the
-///     model length cap);
+///     model length cap), each exactly once;
 ///   * Release() evicts a sequence — finished or mid-decode — freeing its
 ///     slot for the next admission.
 ///
@@ -81,13 +71,6 @@ struct EncodedPrompt {
 /// decode thread (the serve layer gives each continuous backend its own).
 class DecodeSession {
  public:
-  /// One admission: the serialized prompt plus an optional per-sequence
-  /// decode-step budget (0 = the session's max_steps).
-  struct Admission {
-    std::vector<int> input_ids;
-    int max_steps = 0;
-  };
-
   ~DecodeSession();
   DecodeSession(const DecodeSession&) = delete;
   DecodeSession& operator=(const DecodeSession&) = delete;
@@ -104,17 +87,10 @@ class DecodeSession {
   /// slot. Requires free_slots() > 0.
   int Install(const EncodedPrompt& prompt, int max_steps = 0);
 
-  /// Admits `group` into free slots through one shared encoder pass.
-  /// Returns one slot handle per admission, in order. Requires
-  /// group.size() <= free_slots() and every prompt within the model's input
-  /// length limit (callers validate; violations abort in debug builds).
-  std::vector<int> Admit(const std::vector<Admission>& group);
-
-  /// Single-sequence convenience overload.
-  int Admit(const std::vector<int>& input_ids, int max_steps = 0);
-
   /// Advances every live sequence one token. Returns the handles that
-  /// finished on this step; their outputs stay readable until Release.
+  /// finished on this step — each installed sequence is reported exactly
+  /// once, so a session whose sequences have all finished steps to an empty
+  /// result. Their outputs stay readable until Release.
   std::vector<int> Step();
 
   /// True once `slot` has finished decoding (EOS, budget, or length cap).
@@ -130,7 +106,6 @@ class DecodeSession {
   int max_slots() const { return max_slots_; }
   int active_slots() const { return active_; }
   int free_slots() const { return max_slots_ - active_; }
-  const DecodeSessionStats& stats() const { return stats_; }
 
  private:
   friend class Transformer;
@@ -154,7 +129,8 @@ class DecodeSession {
     Tensor cross_v;  // [slots, mem_cap, D]
   };
 
-  /// Encode() for a group: one EncodeRows pass over all prompts.
+  /// Encode() for a group: one EncodeRows pass over all prompts
+  /// (GenerateBatch's shared encoder pass).
   std::vector<std::shared_ptr<const EncodedPrompt>> EncodeGroup(
       const std::vector<std::vector<int>>& inputs) const;
 
@@ -168,7 +144,6 @@ class DecodeSession {
   std::vector<LayerState> layers_;
   std::vector<Slot> slots_;        // indexed by handle == KV row
   std::vector<int> free_handles_;  // descending, so the lowest pops last
-  DecodeSessionStats stats_;
 
   // Step inputs and buffers, reused across calls.
   std::vector<int> live_;

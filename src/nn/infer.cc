@@ -196,17 +196,16 @@ std::vector<std::vector<int>> Transformer::GenerateBatch(
   for (const auto& prompt : session.EncodeGroup(input_ids)) {
     handles.push_back(session.Install(*prompt));
   }
-  // Step until every sequence has finished.
-  const uint64_t total = static_cast<uint64_t>(batch);
+  // Step until every sequence has finished; Step() reports each one once.
+  int active = batch;
   int steps_run = 0;
-  while (session.stats().finished < total) {
+  while (active > 0) {
     obs::TraceSpan step_span("nn", "nn.generate_step");
     if (step_span.enabled()) {
-      const uint64_t active = total - session.stats().finished;
       step_span.Arg("step", static_cast<int64_t>(steps_run));
       step_span.Arg("active", static_cast<int64_t>(active));
     }
-    session.Step();
+    active -= static_cast<int>(session.Step().size());
     ++steps_run;
   }
   for (size_t b = 0; b < handles.size(); ++b) {

@@ -134,7 +134,7 @@ class Transformer : public Module {
 
   /// Batched greedy decoding until <eos> or `max_steps`; returns each
   /// prompt's generated ids (without <sos>/<eos>). A DecodeSession sized to
-  /// the batch admits every prompt through one shared encoder pass, then
+  /// the batch installs every prompt after one shared encoder pass, then
   /// steps until every sequence has finished. The only greedy engine:
   /// bit-exact with the autograd reference testing::GreedyDecode
   /// (tests/testing/reference_decode.h) for any batch composition.
@@ -184,10 +184,11 @@ class Transformer : public Module {
   LayerNorm final_ln_;
   Linear lm_head_;
 
-  /// The graph-free, unpadded inference encoder shared by BeamDecodeBatch
-  /// and DecodeSession::Encode/Admit (nn/infer.cc). Returns the packed
-  /// memory [sum of lengths, D]: prompt b's rows start at (*offsets)[b],
-  /// and `offsets` gets one trailing entry, the total row count.
+  /// The graph-free, unpadded inference encoder shared by BeamDecodeBatch,
+  /// DecodeSession::Encode and GenerateBatch's one group pass (nn/infer.cc).
+  /// Returns the packed memory [sum of lengths, D]: prompt b's rows start at
+  /// (*offsets)[b], and `offsets` gets one trailing entry, the total row
+  /// count.
   /// Bit-identical to Encode and to EncodeBatch's valid rows.
   Tensor EncodeRows(const std::vector<std::vector<int>>& prompts,
                     std::vector<int>* offsets) const;

@@ -18,7 +18,6 @@ struct CbMetrics {
   obs::Counter* steps;
   obs::Counter* evicted;
   obs::Gauge* slots_active;
-  obs::Gauge* tokens_in_flight;
   obs::Histogram* admit_group_size;
 
   static const CbMetrics& Get() {
@@ -30,7 +29,6 @@ struct CbMetrics {
       m.steps = reg.GetCounter("serve.cb.steps");
       m.evicted = reg.GetCounter("serve.cb.evicted");
       m.slots_active = reg.GetGauge("serve.cb.slots_active");
-      m.tokens_in_flight = reg.GetGauge("serve.cb.tokens_in_flight");
       m.admit_group_size = reg.GetHistogram("serve.cb.admit_group_size");
       return m;
     }();
@@ -144,11 +142,9 @@ void ContinuousBatcher::RunPrepare(PendingTask* entry) {
 }
 
 void ContinuousBatcher::AdmitPrepared() {
-  const ContinuousOptions& opts = backend_->opts.continuous;
   const CbMetrics& metrics = CbMetrics::Get();
   // Compose one admission group from the FIFO prefix of prepared prompts:
-  // cut at the first prompt still preparing, on free slots, or when the
-  // next prompt's cost would overflow the token budget.
+  // cut at the first prompt still preparing or at the free slots.
   size_t ready = 0;
   {
     std::lock_guard<std::mutex> lock(backend_->mu);
@@ -156,7 +152,6 @@ void ContinuousBatcher::AdmitPrepared() {
   }
   const size_t free = static_cast<size_t>(decoder_->free_slots());
   std::vector<std::shared_ptr<PendingTask>> group;
-  int group_cost = 0;
   for (; ready > 0; --ready) {
     PendingTask& head = *pending_.front();
     if (!head.result->ok()) {
@@ -170,15 +165,6 @@ void ContinuousBatcher::AdmitPrepared() {
       continue;
     }
     if (group.size() >= free) break;
-    const int cost = head.result->value().cost;
-    if (opts.max_tokens_in_flight > 0 &&
-        tokens_in_flight_ + group_cost + cost > opts.max_tokens_in_flight &&
-        !(decoder_->active_slots() == 0 && group.empty())) {
-      // Budget full. An over-budget prompt still admits alone into an
-      // empty batch (the guard above), so nothing can starve.
-      break;
-    }
-    group_cost += cost;
     group.push_back(std::move(pending_.front()));
     pending_.pop_front();
     --launched_;
@@ -200,9 +186,7 @@ void ContinuousBatcher::AdmitPrepared() {
   }
   std::vector<int> slots = decoder_->Admit(prepared);
   for (size_t i = 0; i < group.size(); ++i) {
-    // Every member is charged its own prepared cost (its KV footprint).
-    tokens_in_flight_ += prepared[i].cost;
-    resident_[slots[i]] = {std::move(group[i]->task), prepared[i].cost};
+    resident_[slots[i]] = std::move(group[i]->task);
   }
   backend_->prompts.Add(group.size());
   admitted_.Add(group.size());
@@ -211,7 +195,6 @@ void ContinuousBatcher::AdmitPrepared() {
   metrics.admit_groups->Increment();
   metrics.admit_group_size->Record(static_cast<double>(group.size()));
   metrics.slots_active->Set(decoder_->active_slots());
-  metrics.tokens_in_flight->Set(tokens_in_flight_);
 }
 
 void ContinuousBatcher::StepOnce() {
@@ -224,18 +207,18 @@ void ContinuousBatcher::StepOnce() {
   std::vector<TokenStreamDecoder::Finished> finished = decoder_->Step();
   steps_.Increment();
   metrics.steps->Increment();
-  for (TokenStreamDecoder::Finished& fin : finished) {
-    auto it = resident_.find(fin.slot);
-    ResidentTask resident = std::move(it->second);
-    resident_.erase(it);
-    tokens_in_flight_ -= resident.charge;
-    evicted_.Increment();
-    metrics.evicted->Increment();
-    service_->CompleteTask(backend_, resident.task, fin.output);
-  }
+  // Step() has already freed the finished slots; publish that before the
+  // completions, so a caller woken by its last row reads the settled gauge.
   if (!finished.empty()) {
     metrics.slots_active->Set(decoder_->active_slots());
-    metrics.tokens_in_flight->Set(tokens_in_flight_);
+  }
+  for (TokenStreamDecoder::Finished& fin : finished) {
+    auto it = resident_.find(fin.slot);
+    TransformService::Task task = std::move(it->second);
+    resident_.erase(it);
+    evicted_.Increment();
+    metrics.evicted->Increment();
+    service_->CompleteTask(backend_, task, fin.output);
   }
 }
 

@@ -30,13 +30,11 @@ namespace serve {
 ///     finished sequences release them, instead of waiting for the whole
 ///     batch to run to completion (the convoy that costs p99 under
 ///     mixed-length traffic);
-///   * admissions compose from the FIFO prefix of prepared prompts — a
+///   * an admission group is the FIFO prefix of prepared prompts — a
 ///     prompt whose Prepare is still running holds back those behind it,
-///     so admission order is arrival order — under a token budget
-///     (`max_tokens_in_flight`): each member is charged its
-///     PreparedPrompt::cost (its own input length plus its decode cap —
-///     each prompt is encoded alone, without padding); a group is cut when
-///     the next prompt would overflow the budget or the free slots;
+///     so admission order is arrival order — cut only at the free slots
+///     (the decoder allocates every slot's KV region up front, so slots are
+///     the one bound);
 ///   * each decode step advances every resident sequence one token; finished
 ///     sequences complete through the same cache/dedup/slot machinery as the
 ///     micro-batch path (TransformService::CompleteTask).
@@ -44,7 +42,7 @@ namespace serve {
 /// Determinism: the decoder's per-sequence outputs are independent of its
 /// batch composition (the TokenStreamDecoder contract), so every request's
 /// output is bit-identical to the run-to-completion path for every arrival
-/// schedule, slot count, and token budget — enforced by
+/// schedule and slot count — enforced by
 /// serve_continuous_test against a continuous-disabled oracle service.
 ///
 /// Threading: Loop() runs on the backend's scheduler thread and is the only
@@ -84,12 +82,6 @@ class ContinuousBatcher {
     std::optional<Result<PreparedPrompt>> result;
     bool prepared = false;  // guarded by the backend mutex
   };
-  /// A task resident in a decoder slot; `charge` is what admission charged
-  /// against the token budget (the prompt's PreparedPrompt::cost).
-  struct ResidentTask {
-    TransformService::Task task;
-    int charge = 0;
-  };
 
   /// True when the scheduler has something to do. Caller holds backend mu.
   bool Runnable() const;
@@ -102,8 +94,8 @@ class ContinuousBatcher {
   /// Runs one Prepare and publishes its result (any thread).
   void RunPrepare(PendingTask* entry);
   /// Admits the longest FIFO prefix of prepared prompts that fits the free
-  /// slots and the token budget as one admission group; invalid prompts at
-  /// the head complete with the Transform-path error policy.
+  /// slots as one admission group; invalid prompts at the head complete
+  /// with the Transform-path error policy.
   void AdmitPrepared();
   /// Advances the resident batch one token and completes finished tasks.
   void StepOnce();
@@ -117,8 +109,7 @@ class ContinuousBatcher {
   // started; admission and failures pop from the front.
   std::deque<std::shared_ptr<PendingTask>> pending_;
   size_t launched_ = 0;
-  std::unordered_map<int, ResidentTask> resident_;  // by slot handle
-  int tokens_in_flight_ = 0;
+  std::unordered_map<int, TransformService::Task> resident_;  // by slot
 
   obs::Counter admitted_;
   obs::Counter admit_groups_;

@@ -201,7 +201,7 @@ Result<std::future<RowPrediction>> ModelRegistry::Submit(
   Result<std::future<RowPrediction>> submitted =
       resident->service->Submit(source, examples, std::move(wrapped));
   if (!submitted.ok()) {
-    // Admission backpressure (or any refusal): the row never entered the
+    // Submit backpressure (or any refusal): the row never entered the
     // service, so its completion callback will not fire — unpin here.
     std::lock_guard<std::mutex> lock(mu_);
     --entry->inflight;

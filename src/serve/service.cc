@@ -11,6 +11,10 @@ namespace serve {
 
 namespace {
 
+/// The prompt cache's total entries, and the shards they spread over.
+constexpr size_t kCacheCapacity = 1 << 14;
+constexpr int kCacheShards = 8;
+
 /// Process-wide serving metrics, shared across service instances (the
 /// per-instance view is ServiceStats). Looked up once; incremented lock-
 /// free afterwards.
@@ -84,9 +88,8 @@ TransformService::TransformService(
       base_rng_(options_.seed),
       paused_(options_.start_paused) {
   if (options_.cache.enabled) {
-    cache_ = std::make_unique<ShardedLruCache>(options_.cache.capacity,
-                                               options_.cache.num_shards,
-                                               "serve.cache");
+    cache_ = std::make_unique<ShardedLruCache>(kCacheCapacity,
+                                               kCacheShards, "serve.cache");
   }
   // num_threads <= 1 skips the worker pool entirely: batches run inline on
   // their backend's scheduler thread, so a default offline TransformAll

@@ -47,14 +47,10 @@ struct SubmitOptions {
 /// (serve_continuous_test).
 struct ContinuousOptions {
   bool enabled = false;
-  /// Resident sequences the decode batch can hold (KV-cache slots).
+  /// Resident sequences the decode batch can hold (KV-cache slots) — the
+  /// one bound on admission. The decoder allocates every slot's whole KV
+  /// region up front.
   int max_slots = 8;
-  /// Token budget across resident sequences, charged at each sequence's
-  /// KV footprint (its PreparedPrompt::cost: input length + decode cap);
-  /// admissions wait once the budget is full. 0 = slots are the only
-  /// bound. A prompt too big for the budget still admits alone into an
-  /// empty batch rather than starving.
-  int max_tokens_in_flight = 0;
 };
 
 /// Micro-batching knobs of one backend queue. Every attached model gets its
@@ -73,12 +69,9 @@ struct BackendQueueOptions {
   ContinuousOptions continuous;
 };
 
-/// Prompt-dedup result cache configuration.
+/// Prompt-dedup result cache configuration (sized in service.cc).
 struct CacheOptions {
   bool enabled = true;
-  /// Total entries across all shards.
-  size_t capacity = 1 << 14;
-  int num_shards = 8;
 };
 
 struct ServeOptions {
@@ -93,7 +86,7 @@ struct ServeOptions {
   /// serialized per backend. 1 disables the pool entirely — every backend
   /// runs inline, so a service costs one scheduler thread per backend.
   int num_threads = 1;
-  /// Admission-queue bound: Submit returns Status::Unavailable once this
+  /// Bound on rows in flight: Submit returns Status::Unavailable once this
   /// many accepted rows are still in flight (backpressure).
   size_t max_pending_rows = 1024;
   CacheOptions cache;

@@ -150,18 +150,20 @@ TEST(LengthCapTest, EveryEngineStopsAtTheModelLengthCapLikeItsOracle) {
 
   // A session whose per-slot budgets all exceed the cap.
   auto session = model.NewDecodeSession({static_cast<int>(inputs.size()), 24});
-  std::vector<nn::DecodeSession::Admission> group;
+  std::vector<int> budgets;
+  std::vector<int> handles;
   for (size_t i = 0; i < inputs.size(); ++i) {
-    group.push_back({inputs[i], 12 + 3 * static_cast<int>(i)});
+    budgets.push_back(12 + 3 * static_cast<int>(i));
+    handles.push_back(session->Install(*session->Encode(inputs[i]),
+                                       budgets.back()));
   }
-  const std::vector<int> handles = session->Admit(group);
-  for (int guard = 0; guard < 64 && session->stats().finished < handles.size();
-       ++guard) {
-    session->Step();
+  size_t finished = 0;
+  for (int guard = 0; guard < 64 && finished < handles.size(); ++guard) {
+    finished += session->Step().size();
   }
   for (size_t i = 0; i < handles.size(); ++i) {
     EXPECT_EQ(session->output(handles[i]),
-              testing::GreedyDecode(model, inputs[i], group[i].max_steps))
+              testing::GreedyDecode(model, inputs[i], budgets[i]))
         << "sequence " << i;
   }
 

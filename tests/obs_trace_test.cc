@@ -475,8 +475,8 @@ TEST_F(ObsTraceTest, TracedDecodeIsBitExactWithUntraced) {
 }
 
 // The graph-free encoder's nn.encode span (with its prompts/tokens args)
-// nests inside the span of the engine that called it: a decode session's
-// admission, a greedy batch, and a beam batch.
+// nests inside the span of the engine that called it: a greedy batch and a
+// beam batch.
 TEST_F(ObsTraceTest, EncodeSpanNestsUnderEachEngine) {
   nn::TransformerConfig cfg;
   cfg.dim = 16;
@@ -500,8 +500,6 @@ TEST_F(ObsTraceTest, EncodeSpanNestsUnderEachEngine) {
 
   const std::string path = TempFile("encode_trace.json");
   ASSERT_TRUE(StartTracing(path).ok());
-  auto session = model.NewDecodeSession({4, 8});
-  session->Admit({{inputs[0], 0}, {inputs[1], 0}, {inputs[2], 0}});
   model.GenerateBatch(inputs, 4);
   model.BeamDecodeBatch(inputs, 4, 2);
   ASSERT_TRUE(StopTracing().ok());
@@ -512,12 +510,11 @@ TEST_F(ObsTraceTest, EncodeSpanNestsUnderEachEngine) {
     if (e.at("ph").str != "X") continue;
     const std::string name = e.at("name").str;
     if (name == "nn.encode") encodes.push_back(&e);
-    if (name == "nn.session_admit" || name == "nn.generate_batch" ||
-        name == "nn.beam_batch") {
+    if (name == "nn.generate_batch" || name == "nn.beam_batch") {
       parents.push_back(&e);
     }
   }
-  ASSERT_EQ(encodes.size(), 3u);
+  ASSERT_EQ(encodes.size(), 2u);
   std::map<std::string, int> nested_under;
   for (const JsonValue* enc : encodes) {
     EXPECT_EQ(enc->at("args").at("prompts").number, 3.0);
@@ -533,7 +530,6 @@ TEST_F(ObsTraceTest, EncodeSpanNestsUnderEachEngine) {
       }
     }
   }
-  EXPECT_EQ(nested_under["nn.session_admit"], 1);
   EXPECT_EQ(nested_under["nn.generate_batch"], 1);
   EXPECT_EQ(nested_under["nn.beam_batch"], 1);
 }

@@ -4,9 +4,9 @@
 // backend's scheduler admits prompts into KV-cache slots freed mid-decode —
 // and every request's output stays byte-identical to the retained
 // run-to-completion micro-batch path, for every arrival schedule, slot
-// count, token budget, and thread configuration. The oracle in each test is
-// the same service with continuous batching disabled (which serve_service
-// pins to the PR 2 fixed-batch path).
+// count, and thread configuration. The oracle in each test is the same
+// service with continuous batching disabled (which serve_service pins to the
+// fixed-batch path).
 #include "serve/service.h"
 
 #include <gtest/gtest.h>
@@ -127,15 +127,14 @@ TEST(ServeContinuousTest, BitIdenticalToFixedBatchOracleAcrossSchedules) {
 
   struct Config {
     int max_slots;
-    int max_tokens_in_flight;
     int num_threads;
     bool cache;
   };
   const std::vector<Config> configs = {
-      {1, 0, 1, true},     // degenerate: one slot, strictly sequential
-      {2, 120, 1, true},   // tight token budget forces admission waits
-      {4, 0, 4, true},     // slots + worker threads
-      {8, 400, 2, false},  // all slots, budgeted, no cache
+      {1, 1, true},   // degenerate: one slot, strictly sequential
+      {2, 1, true},   // few slots force admission waits
+      {4, 4, true},   // slots + worker threads
+      {8, 2, false},  // all slots, no cache
   };
   // >= 3 randomized schedules: budgets and arrival jitter drawn per seed.
   for (const uint64_t schedule_seed : {111u, 222u, 333u}) {
@@ -170,16 +169,13 @@ TEST(ServeContinuousTest, BitIdenticalToFixedBatchOracleAcrossSchedules) {
       BackendQueueOptions queue;
       queue.continuous.enabled = true;
       queue.continuous.max_slots = config.max_slots;
-      queue.continuous.max_tokens_in_flight = config.max_tokens_in_flight;
       opts.backends = {queue};
       TransformService service(model, opts);
       std::vector<std::string> got = RunSchedule(&service, reqs, examples);
       for (size_t r = 0; r < reqs.size(); ++r) {
         EXPECT_EQ(got[r], oracle[r])
             << "request " << r << " schedule " << schedule_seed << " slots "
-            << config.max_slots << " budget "
-            << config.max_tokens_in_flight << " threads "
-            << config.num_threads;
+            << config.max_slots << " threads " << config.num_threads;
       }
       // The continuous path must actually have served this backend.
       ServiceStats stats = service.stats();
@@ -377,8 +373,8 @@ TEST(ServeContinuousTest, CacheServesRepeatedRowsWithoutReadmission) {
 }
 
 // ---------------------------------------------------------------------------
-// Token-budget accounting: admission charges each prompt its own
-// PreparedPrompt::cost, never a padded group length.
+// Admission bound: an admission group is the FIFO prefix of prepared
+// prompts, cut only at the free slots.
 // ---------------------------------------------------------------------------
 
 /// Holds the first decode step until released, and records what was
@@ -446,45 +442,49 @@ class GatedModel : public TextToTextModel {
   StepGate* gate_;
 };
 
-TEST(ServeContinuousTest, TokensInFlightChargesEachPromptItsOwnCost) {
+TEST(ServeContinuousTest, FreeSlotsBoundTheAdmissionGroup) {
   StepGate gate;
   auto model = std::make_shared<GatedModel>(TinyNeuralModel(404, 8), &gate);
   ServeOptions opts = BaseOptions(33);
   opts.decomposer.num_trials = 1;
-  opts.start_paused = true;  // both rows form one admission group
+  opts.start_paused = true;  // all three rows queue before the first admit
   BackendQueueOptions queue;
   queue.continuous.enabled = true;
-  queue.continuous.max_slots = 4;
+  queue.continuous.max_slots = 2;
   opts.backends = {queue};
   TransformService service(model, opts);
   std::vector<std::future<RowPrediction>> futures;
-  for (const char* source : {"Kim Campbell", "Louis St Laurent"}) {
+  for (const char* source : {"Kim Campbell", "Louis St Laurent",
+                             "Arthur Meighen"}) {
     auto admitted = service.Submit(source, NameExamples());
     ASSERT_TRUE(admitted.ok());
     futures.push_back(std::move(admitted.value()));
   }
   service.Start();
 
-  std::vector<PreparedPrompt> admitted;
+  size_t admitted = 0;
   {
     std::unique_lock<std::mutex> lock(gate.mu);
     gate.cv.wait(lock, [&gate] { return gate.stepping; });
-    admitted = gate.admitted;
+    admitted = gate.admitted.size();
   }
-  const int64_t in_flight =
-      obs::GlobalMetrics().GetGauge("serve.cb.tokens_in_flight")->Value();
+  const int64_t active =
+      obs::GlobalMetrics().GetGauge("serve.cb.slots_active")->Value();
   {
     std::lock_guard<std::mutex> lock(gate.mu);
     gate.released = true;
   }
   gate.cv.notify_all();
-  for (auto& future : futures) future.get();
   service.Drain();
 
-  ASSERT_EQ(admitted.size(), 2u);
-  ASSERT_NE(admitted[0].input_ids.size(), admitted[1].input_ids.size());
-  EXPECT_EQ(in_flight, admitted[0].cost + admitted[1].cost);
-  EXPECT_EQ(obs::GlobalMetrics().GetGauge("serve.cb.tokens_in_flight")->Value(),
+  EXPECT_EQ(admitted, 2u);
+  EXPECT_EQ(active, 2);
+  for (auto& future : futures) {
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    future.get();
+  }
+  EXPECT_EQ(obs::GlobalMetrics().GetGauge("serve.cb.slots_active")->Value(),
             0);
 }
 
@@ -709,8 +709,6 @@ TEST(ServeContinuousTest, DestroyWithPreparesQueuedOnPool) {
   EXPECT_EQ(probe.ahead, 0);
   EXPECT_EQ(probe.admitted.size(), static_cast<size_t>(kRows));
   EXPECT_EQ(obs::GlobalMetrics().GetGauge("serve.cb.slots_active")->Value(),
-            0);
-  EXPECT_EQ(obs::GlobalMetrics().GetGauge("serve.cb.tokens_in_flight")->Value(),
             0);
 }
 
