@@ -14,6 +14,7 @@
 #include "io/model_artifact.h"
 #include "models/alignment.h"
 #include "models/pattern_induction.h"
+#include "nn/infer_internal.h"
 #include "nn/trainer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -313,6 +314,30 @@ void BM_EncodeBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EncodeBatch)->Arg(1)->Arg(8);
+
+// The encoder's attention kernel alone at the perfbench shape: one sequence
+// of `len` rows, dim 48, 4 heads (head width 12).
+void BM_AttendSequences(benchmark::State& state) {
+  Rng rng(20);
+  const int len = static_cast<int>(state.range(0));
+  const int dim = 48;
+  nn::MultiHeadAttention attn(dim, 4, &rng);
+  nn::Tensor q({len, dim}), k({len, dim}), v({len, dim});
+  for (nn::Tensor* t : {&q, &k, &v}) {
+    for (size_t i = 0; i < t->size(); ++i) {
+      t->data()[i] = static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
+    }
+  }
+  const std::vector<int> offsets = {0, len};
+  nn::Tensor ctx;
+  std::vector<float> scratch;
+  for (auto _ : state) {
+    nn::internal::AttendSequences(q, k, v, attn, offsets, &ctx, &scratch);
+    benchmark::DoNotOptimize(ctx.data());
+  }
+  state.SetItemsProcessed(state.iterations() * len);
+}
+BENCHMARK(BM_AttendSequences)->Arg(150);
 
 // Distinct prompts for the beam benchmark: identical ones would collapse
 // onto one encoder pass via the engine's prompt dedup and overstate the win.

@@ -1,16 +1,20 @@
 #ifndef DTT_NN_GEMM_H_
 #define DTT_NN_GEMM_H_
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 namespace dtt {
 namespace nn {
 namespace internal {
 
 // The only GEMM kernels in the system: autograd MatMul (nn/ops.cc) and the
-// graph-free decode engines (AffineRows, nn/infer_internal.h) call them
-// directly. Their accumulation order is the bit-exactness contract every
-// engine parity test and pinned decode golden relies on:
+// graph-free inference kernels (AffineRows and AttendSequences,
+// nn/infer_internal.h) call them directly. Their accumulation order is the
+// bit-exactness contract every engine parity test and pinned decode golden
+// relies on:
 //
 //  1. Per output element, partial products are added in ascending-p order.
 //     GemmAcc and GemmAtAcc resume from the element's existing value;
@@ -23,21 +27,87 @@ namespace internal {
 //     neutral. nn_gemm_test pins both parts against naive loops with no
 //     skip. A faster kernel must keep this order; reassociating one
 //     element's sum changes output bits.
+//
+// GemmAcc keeps a tile of C in registers across the whole p loop: up to 4
+// rows by 8 columns, as two 4-lane vectors per row, with 4-lane and scalar
+// tiles for the n % 8 tail. Vector lanes run over j (a score row's keys or
+// an output row's head lanes, when AttendSequences calls it), and the rows
+// of a tile (its queries) are separate accumulators. No lane or row adds
+// into another's sum and no sum is split over p, so each element still
+// starts from its own C value and adds its own terms in ascending p, one
+// rounded multiply and one rounded add each, as the scalar loop did. That
+// holds only while the compiler does not contract `acc += a * b` into an
+// FMA, which is why the build pins -ffp-contract=off.
 
-/// C += A * B for row-major [m,k] x [k,n]; ikj ordering for locality.
+/// Four fp32 lanes in GCC/Clang vector-extension form; the compiler lowers
+/// them to whatever the target has, so no ISA-specific code is needed.
+typedef float Lanes4 __attribute__((vector_size(16)));
+
+/// One tile: rows [0, R) of A/C by V values of type T (Lanes4, or float for
+/// the column tail) starting at column j. Loads and stores go through
+/// memcpy because rows carry only float alignment.
+template <int R, int V, typename T>
+inline void GemmTile(const float* a, const float* b, float* c, int k, int n,
+                     int j) {
+  constexpr int kWidth = sizeof(T) / sizeof(float);
+  T acc[R][V];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      std::memcpy(&acc[r][v], c + static_cast<size_t>(r) * n + j + v * kWidth,
+                  sizeof(T));
+    }
+  }
+  for (int p = 0; p < k; ++p) {
+    const float* brow = b + static_cast<size_t>(p) * n + j;
+    T bv[V];
+    for (int v = 0; v < V; ++v) {
+      std::memcpy(&bv[v], brow + v * kWidth, sizeof(T));
+    }
+    for (int r = 0; r < R; ++r) {
+      const float av = a[static_cast<size_t>(r) * k + p];
+      // `av == 0.0f` tested on the bits (either sign): one integer branch
+      // where a float compare adds a second one for the unordered case.
+      if ((std::bit_cast<uint32_t>(av) << 1) == 0) continue;
+      for (int v = 0; v < V; ++v) acc[r][v] += av * bv[v];
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      std::memcpy(c + static_cast<size_t>(r) * n + j + v * kWidth, &acc[r][v],
+                  sizeof(T));
+    }
+  }
+}
+
+/// Rows [0, R) of C += A * B, tile by tile across the columns.
+template <int R>
+inline void GemmRows(const float* a, const float* b, float* c, int k, int n) {
+  int j = 0;
+  for (; j + 8 <= n; j += 8) GemmTile<R, 2, Lanes4>(a, b, c, k, n, j);
+  if (j + 4 <= n) {
+    GemmTile<R, 1, Lanes4>(a, b, c, k, n, j);
+    j += 4;
+  }
+  for (; j < n; ++j) GemmTile<R, 1, float>(a, b, c, k, n, j);
+}
+
+/// C += A * B for row-major [m,k] x [k,n], in register tiles of 4 rows.
 /// Shared by the autograd MatMul op and the raw inference engine so both
 /// paths accumulate in the same order (bit-exact results).
 inline void GemmAcc(const float* a, const float* b, float* c, int m, int k,
                     int n) {
-  for (int i = 0; i < m; ++i) {
-    const float* arow = a + static_cast<size_t>(i) * k;
-    float* crow = c + static_cast<size_t>(i) * n;
-    for (int p = 0; p < k; ++p) {
-      float av = arow[p];
-      if (av == 0.0f) continue;
-      const float* brow = b + static_cast<size_t>(p) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
+  int i = 0;
+  for (; i + 4 <= m; i += 4) {
+    GemmRows<4>(a + static_cast<size_t>(i) * k, b,
+                c + static_cast<size_t>(i) * n, k, n);
+  }
+  a += static_cast<size_t>(i) * k;
+  c += static_cast<size_t>(i) * n;
+  switch (m - i) {
+    case 3: GemmRows<3>(a, b, c, k, n); break;
+    case 2: GemmRows<2>(a, b, c, k, n); break;
+    case 1: GemmRows<1>(a, b, c, k, n); break;
+    default: break;
   }
 }
 

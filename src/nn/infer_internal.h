@@ -183,16 +183,20 @@ inline void AttendRows(const Tensor& q, const MultiHeadAttention& attn,
 /// (pre-W_o) into ctx [N, D]; `scratch` is reused across calls.
 ///
 /// Bit-identical to the autograd per-head MatMul(qh, Transpose(kh)) ->
-/// Scale -> Softmax -> MatMul(attn, vh): each score accumulates its
-/// products in ascending p from 0 (GemmAcc's order, zero q terms skipped),
-/// the softmax runs the Softmax op's max/exp/normalize order, and each
-/// output element sums its weighted values in ascending key order skipping
-/// exact-zero weights. K is transposed to [dh, L] once per sequence and head
-/// so the score loop runs over contiguous keys.
+/// Scale -> Softmax -> MatMul(attn, vh), because both products run through
+/// GemmAcc itself. Per sequence and head, Q and V are gathered to [L, dh]
+/// and K transposed to [dh, L]; then each block of 4 queries takes
+/// GemmAcc's 4-row x 8-key register tiles into a zeroed score block (each
+/// score sums its products in ascending p from 0, zero q terms skipped),
+/// the scalar softmax in the Softmax op's scale/max/exp/normalize order,
+/// and GemmAcc's 4-row x dh-lane tiles (8- and 4-lane vectors plus a
+/// scalar lane tail) over ascending keys into a zeroed output block,
+/// skipping exact-zero weights.
 inline void AttendSequences(const Tensor& q, const Tensor& k, const Tensor& v,
                             const MultiHeadAttention& attn,
                             const std::vector<int>& offsets, Tensor* ctx,
                             std::vector<float>* scratch) {
+  constexpr int kQueryBlock = 4;
   const int d = q.cols();
   const int num_heads = attn.num_heads();
   const int dh = attn.head_dim();
@@ -202,11 +206,16 @@ inline void AttendSequences(const Tensor& q, const Tensor& k, const Tensor& v,
   for (size_t b = 0; b + 1 < offsets.size(); ++b) {
     max_len = std::max(max_len, offsets[b + 1] - offsets[b]);
   }
-  // Scratch: K^T [dh, max_len], one score row [max_len], one output row [dh].
-  scratch->resize(static_cast<size_t>(dh + 1) * max_len + dh);
-  float* kt = scratch->data();
-  float* scores = kt + static_cast<size_t>(dh) * max_len;
-  float* acc = scores + max_len;
+  // Scratch: Q [max_len, dh], K^T [dh, max_len], V [max_len, dh], then one
+  // block's scores [kQueryBlock, max_len] and outputs [kQueryBlock, dh].
+  const size_t head_size = static_cast<size_t>(dh) * max_len;
+  scratch->resize(3 * head_size +
+                  static_cast<size_t>(kQueryBlock) * (max_len + dh));
+  float* qh = scratch->data();
+  float* kt = qh + head_size;
+  float* vh = kt + head_size;
+  float* scores = vh + head_size;
+  float* out = scores + static_cast<size_t>(kQueryBlock) * max_len;
   for (size_t b = 0; b + 1 < offsets.size(); ++b) {
     const int begin = offsets[b];
     const int len = offsets[b + 1] - begin;
@@ -217,38 +226,38 @@ inline void AttendSequences(const Tensor& q, const Tensor& k, const Tensor& v,
     for (int h = 0; h < num_heads; ++h) {
       const int off = h * dh;
       for (int j = 0; j < len; ++j) {
-        const float* krow = kseq + static_cast<size_t>(j) * d + off;
+        const size_t row = static_cast<size_t>(j) * d + off;
+        const size_t head_row = static_cast<size_t>(j) * dh;
+        std::copy(qseq + row, qseq + row + dh, qh + head_row);
+        std::copy(vseq + row, vseq + row + dh, vh + head_row);
         for (int p = 0; p < dh; ++p) {
-          kt[static_cast<size_t>(p) * len + j] = krow[p];
+          kt[static_cast<size_t>(p) * len + j] = kseq[row + p];
         }
       }
-      for (int i = 0; i < len; ++i) {
-        const float* qrow = qseq + static_cast<size_t>(i) * d + off;
-        std::fill(scores, scores + len, 0.0f);
-        for (int p = 0; p < dh; ++p) {
-          const float qv = qrow[p];
-          if (qv == 0.0f) continue;
-          const float* ktrow = kt + static_cast<size_t>(p) * len;
-          for (int j = 0; j < len; ++j) scores[j] += qv * ktrow[j];
+      for (int i0 = 0; i0 < len; i0 += kQueryBlock) {
+        const int rows = std::min(kQueryBlock, len - i0);
+        std::fill(scores, scores + static_cast<size_t>(rows) * len, 0.0f);
+        GemmAcc(qh + static_cast<size_t>(i0) * dh, kt, scores, rows, dh, len);
+        for (int r = 0; r < rows; ++r) {
+          float* srow = scores + static_cast<size_t>(r) * len;
+          for (int j = 0; j < len; ++j) srow[j] *= scale;
+          float mx = srow[0];
+          for (int j = 1; j < len; ++j) mx = std::max(mx, srow[j]);
+          float sum = 0.0f;
+          for (int j = 0; j < len; ++j) {
+            srow[j] = std::exp(srow[j] - mx);
+            sum += srow[j];
+          }
+          const float inv = 1.0f / sum;
+          for (int j = 0; j < len; ++j) srow[j] *= inv;
         }
-        for (int j = 0; j < len; ++j) scores[j] *= scale;
-        float mx = scores[0];
-        for (int j = 1; j < len; ++j) mx = std::max(mx, scores[j]);
-        float sum = 0.0f;
-        for (int j = 0; j < len; ++j) {
-          scores[j] = std::exp(scores[j] - mx);
-          sum += scores[j];
+        std::fill(out, out + static_cast<size_t>(rows) * dh, 0.0f);
+        GemmAcc(scores, vh, out, rows, len, dh);
+        for (int r = 0; r < rows; ++r) {
+          std::copy(out + static_cast<size_t>(r) * dh,
+                    out + static_cast<size_t>(r + 1) * dh,
+                    cseq + static_cast<size_t>(i0 + r) * d + off);
         }
-        const float inv = 1.0f / sum;
-        for (int j = 0; j < len; ++j) scores[j] *= inv;
-        std::fill(acc, acc + dh, 0.0f);
-        for (int j = 0; j < len; ++j) {
-          const float a = scores[j];
-          if (a == 0.0f) continue;
-          const float* vrow = vseq + static_cast<size_t>(j) * d + off;
-          for (int p = 0; p < dh; ++p) acc[p] += a * vrow[p];
-        }
-        std::copy(acc, acc + dh, cseq + static_cast<size_t>(i) * d + off);
       }
     }
   }

@@ -255,11 +255,13 @@ TEST(EncodeRowsTest, GroupOfOneMatchesSerialEncode) {
 }
 
 // The whole-sequence kernel against the per-row decode kernel, one query row
-// at a time over the same keys and values.
-void ExpectAttendSequencesMatchesAttendRows(int dim, int num_heads) {
+// at a time over the same keys and values. `offsets` packs the sequences;
+// the default has lengths 1, 2, 5, 17, 0 and 6.
+void ExpectAttendSequencesMatchesAttendRows(
+    int dim, int num_heads,
+    const std::vector<int>& offsets = {0, 1, 3, 8, 25, 25, 31}) {
   Rng rng(static_cast<uint64_t>(dim * 100 + num_heads));
   nn::MultiHeadAttention attn(dim, num_heads, &rng);
-  const std::vector<int> offsets = {0, 1, 3, 8, 25, 25, 31};
   const int rows = offsets.back();
   nn::Tensor q({rows, dim}), k({rows, dim}), v({rows, dim});
   for (nn::Tensor* t : {&q, &k, &v}) {
@@ -296,6 +298,14 @@ TEST(AttendSequencesTest, BitIdenticalToAttendRowsPerQueryRow) {
   ExpectAttendSequencesMatchesAttendRows(cfg.dim, cfg.num_heads);
   // An odd head width (21 / 3 = 7).
   ExpectAttendSequencesMatchesAttendRows(21, 3);
+  // The perfbench head width (48 / 4 = 12: an 8-lane and a 4-lane vector).
+  ExpectAttendSequencesMatchesAttendRows(48, 4);
+  // Lengths 2, 4, 5, 9, 17 and 150 sit on and one past the 4-query block
+  // and the 8-key tile; 150 is a serialized DTT prompt.
+  const std::vector<int> tile_edges = {0, 2, 6, 11, 20, 37, 187};
+  ExpectAttendSequencesMatchesAttendRows(cfg.dim, cfg.num_heads, tile_edges);
+  ExpectAttendSequencesMatchesAttendRows(21, 3, tile_edges);
+  ExpectAttendSequencesMatchesAttendRows(48, 4, tile_edges);
 }
 
 // --- Trainer batching -------------------------------------------------------

@@ -73,7 +73,9 @@ void NaiveGemmBtAcc(const Tensor& a, const Tensor& bt, Tensor* c) {
   }
 }
 
-constexpr int kDims[] = {1, 3, 7, 17, 64, 65};
+// 4, 8 and 9 put m and n on GemmAcc's 4-row x 8-column register tile and
+// one past it.
+constexpr int kDims[] = {1, 3, 4, 7, 8, 9, 17, 64, 65};
 
 TEST(GemmContract, BitIdenticalToNaiveAscendingLoopsWithoutZeroSkip) {
   Rng rng(17);
@@ -110,6 +112,27 @@ TEST(GemmContract, BitIdenticalToNaiveAscendingLoopsWithoutZeroSkip) {
             << "GemmBtAcc m=" << m << " k=" << k << " n=" << n;
       }
     }
+  }
+}
+
+// The encoder's products at a serialized DTT prompt (150 rows, dim 48):
+// Q/K/V/W_o and the FFN input (n 48 and 96), the FFN output (k 96), and the
+// lm_head width (n 261, a vector tail plus one scalar column).
+TEST(GemmContract, EncoderShapesBitIdenticalToNaiveLoops) {
+  Rng rng(18);
+  const int shapes[][3] = {
+      {150, 48, 48}, {150, 48, 96}, {150, 48, 261}, {150, 96, 48}};
+  for (const auto& shape : shapes) {
+    const int m = shape[0], k = shape[1], n = shape[2];
+    Tensor a = RandomTensor({m, k}, &rng);
+    Tensor b = RandomTensor({k, n}, &rng);
+    const Tensor c0 = RandomTensor({m, n}, &rng);
+    SprinkleZeros(&a);
+    Tensor want = c0, got = c0;
+    NaiveGemmAcc(a, b, &want);
+    internal::GemmAcc(a.data(), b.data(), got.data(), m, k, n);
+    EXPECT_TRUE(TensorEq(got, want))
+        << "GemmAcc m=" << m << " k=" << k << " n=" << n;
   }
 }
 
