@@ -4,6 +4,7 @@
 // a machine-readable JSON document (bench/bench_json.h) per run.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -302,6 +303,23 @@ void BM_EncodeRows(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeRows)->Arg(1)->Arg(8);
 
+// The same encoder over one prompt of exactly `len` tokens: 71 is the
+// prompt length perfbench's stream_longtail serves (nn.admit_us_per_token
+// reads about 85 tokens per admit of 1.2 prompts).
+void BM_EncodeRowsLen(benchmark::State& state) {
+  Rng rng(18);
+  nn::Transformer model(EncoderBenchConfig(), &rng);
+  std::vector<std::vector<int>> prompts = EncoderBenchPrompts(1);
+  prompts[0].resize(static_cast<size_t>(state.range(0)));
+  std::vector<int> offsets;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        nn::TransformerPeer::EncodeRows(model, prompts, &offsets));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_EncodeRowsLen)->Arg(71);
+
 // The autograd, padded reference encoder over the same prompts.
 void BM_EncodeBatch(benchmark::State& state) {
   Rng rng(18);
@@ -338,6 +356,27 @@ void BM_AttendSequences(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * len);
 }
 BENCHMARK(BM_AttendSequences)->Arg(150);
+
+// The attention softmax alone: one head's [len, len] scores of a `len`-row
+// sequence, in AttendSequences's 4-query blocks. Each iteration first
+// restores the scores (a copy of len * len floats, included in the time).
+void BM_SoftmaxRows(benchmark::State& state) {
+  Rng rng(21);
+  const int len = static_cast<int>(state.range(0));
+  std::vector<float> scores(static_cast<size_t>(len) * len);
+  for (float& x : scores) x = static_cast<float>(rng.NextDouble() * 8.0 - 4.0);
+  std::vector<float> work(scores.size());
+  for (auto _ : state) {
+    work = scores;
+    for (int i0 = 0; i0 < len; i0 += 4) {
+      nn::internal::SoftmaxRows(work.data() + static_cast<size_t>(i0) * len,
+                                std::min(4, len - i0), len);
+    }
+    benchmark::DoNotOptimize(work.data());
+  }
+  state.SetItemsProcessed(state.iterations() * len * len);
+}
+BENCHMARK(BM_SoftmaxRows)->Arg(71)->Arg(150);
 
 // Distinct prompts for the beam benchmark: identical ones would collapse
 // onto one encoder pass via the engine's prompt dedup and overstate the win.

@@ -79,17 +79,6 @@ std::vector<induction::AtomProgram> CstJoiner::Learn(
   return result;
 }
 
-std::vector<std::string> CstJoiner::CandidateOutputs(
-    const std::vector<induction::AtomProgram>& transformations,
-    const std::string& source) const {
-  std::vector<std::string> outputs;
-  for (const auto& t : transformations) {
-    auto out = t.Apply(source, options_.induction.separators);
-    if (out && !out->empty()) outputs.push_back(*out);
-  }
-  return outputs;
-}
-
 JoinResult CstJoiner::Join(const std::vector<std::string>& sources,
                            const std::vector<ExamplePair>& examples,
                            const std::vector<std::string>& target_values) const {

@@ -56,11 +56,6 @@ class CstJoiner {
                   const std::vector<ExamplePair>& examples,
                   const std::vector<std::string>& target_values) const;
 
-  /// The candidate outputs for one source row (rank order), for debugging.
-  std::vector<std::string> CandidateOutputs(
-      const std::vector<induction::AtomProgram>& transformations,
-      const std::string& source) const;
-
  private:
   CstOptions options_;
 };

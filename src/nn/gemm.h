@@ -14,7 +14,8 @@ namespace internal {
 // graph-free inference kernels (AffineRows and AttendSequences,
 // nn/infer_internal.h) call them directly. Their accumulation order is the
 // bit-exactness contract every engine parity test and pinned decode golden
-// relies on:
+// relies on, together with the one softmax and exp kernel in nn/softmax.h
+// (ExpRow, glibc's generic expf in lanes; SoftmaxRows, ascending-j sums):
 //
 //  1. Per output element, partial products are added in ascending-p order.
 //     GemmAcc and GemmAtAcc resume from the element's existing value;

@@ -32,6 +32,7 @@ using internal::AffineRows;
 using internal::AttendRows;
 using internal::AttendSequences;
 using internal::LayerNormRows;
+using internal::ReluRow;
 
 // Process-wide decode counters/histograms, resolved once. Purely
 // observational: recording never feeds back into the decode.
@@ -97,9 +98,7 @@ Tensor Transformer::EncodeRows(const std::vector<std::vector<int>>& prompts,
     x.AddInPlace(attn_out);
     LayerNormRows(x, layer->ln2(), &n);
     AffineRows(n, layer->ff().in_linear(), &ff_mid);
-    for (size_t i = 0; i < ff_mid.size(); ++i) {
-      if (ff_mid.data()[i] < 0.0f) ff_mid.data()[i] = 0.0f;
-    }
+    ReluRow(ff_mid.data(), ff_mid.size());
     AffineRows(ff_mid, layer->ff().out_linear(), &ff_out);
     x.AddInPlace(ff_out);
   }
@@ -162,9 +161,7 @@ const Tensor& Transformer::DecodeStepRows(
     // Position-wise feed-forward.
     LayerNormRows(s.h2, layer.ln3(), &s.n);
     AffineRows(s.n, layer.ff().in_linear(), &s.ff_mid);
-    for (size_t i = 0; i < s.ff_mid.size(); ++i) {
-      if (s.ff_mid.data()[i] < 0.0f) s.ff_mid.data()[i] = 0.0f;
-    }
+    ReluRow(s.ff_mid.data(), s.ff_mid.size());
     AffineRows(s.ff_mid, layer.ff().out_linear(), &s.ff_out);
     s.x = s.h2;
     s.x.AddInPlace(s.ff_out);

@@ -8,11 +8,12 @@
 // GenerateBatch) call.
 //
 // Every kernel mirrors its autograd counterpart operation-for-operation —
-// same GEMM kernels (nn/gemm.h), same accumulation order, same normalization
-// order — so logits produced through this path are bit-identical to the
-// autograd DecodeLogits path. That identity is what lets the greedy and beam
-// engines be checked bit-for-bit against the autograd references
-// (tests/testing/reference_decode.h).
+// same GEMM kernels (nn/gemm.h), same softmax, exp and ReLU kernels
+// (SoftmaxRows, ExpRow and ReluRow in nn/softmax.h), same accumulation
+// order, same normalization order — so logits produced through this path
+// are bit-identical to the autograd DecodeLogits path. That identity is
+// what lets the greedy and beam engines be checked bit-for-bit against the
+// autograd references (tests/testing/reference_decode.h).
 
 #include <algorithm>
 #include <cassert>
@@ -22,6 +23,7 @@
 #include "nn/attention.h"
 #include "nn/gemm.h"
 #include "nn/layers.h"
+#include "nn/softmax.h"
 #include "nn/tensor.h"
 
 namespace dtt {
@@ -126,7 +128,8 @@ inline void LayerNormRows(const Tensor& x, const LayerNorm& ln, Tensor* out) {
 /// floats, so distinct rows may share one cache block — beam hypotheses of
 /// one prompt, or duplicate prompts sharing encoder memory); the attended
 /// positions are 0..kv_lens[b]-1. Writes the merged head outputs (pre-W_o)
-/// into ctx [B, D].
+/// into ctx [B, D]. All heads of a row share one SoftmaxRows call over a
+/// [H, kv_len] score block; `scores_buf` is reused across calls.
 inline void AttendRows(const Tensor& q, const MultiHeadAttention& attn,
                        const float* keys, const float* values,
                        const std::vector<size_t>& kv_bases,
@@ -144,30 +147,27 @@ inline void AttendRows(const Tensor& q, const MultiHeadAttention& attn,
     const float* krows = keys + kv_bases[static_cast<size_t>(b)];
     const float* vrows = values + kv_bases[static_cast<size_t>(b)];
     float* crow = ctx->data() + static_cast<size_t>(b) * d;
-    scores_buf->resize(static_cast<size_t>(kv_len));
+    // Scaled dot-product scores of every head, [H, kv_len], then one
+    // softmax over the H rows and a weighted value sum per head.
+    scores_buf->resize(static_cast<size_t>(num_heads) * kv_len);
+    float* scores = scores_buf->data();
     for (int h = 0; h < num_heads; ++h) {
       const int off = h * dh;
-      // Scaled dot-product scores over the cached positions, then a stable
-      // softmax — the same max/exp/normalize order as the Softmax op.
-      float* scores = scores_buf->data();
+      float* srow = scores + static_cast<size_t>(h) * kv_len;
       for (int j = 0; j < kv_len; ++j) {
         const float* krow = krows + static_cast<size_t>(j) * d + off;
         float dot = 0.0f;
         for (int p = 0; p < dh; ++p) dot += qrow[off + p] * krow[p];
-        scores[j] = dot * scale;
+        srow[j] = dot * scale;
       }
-      float mx = scores[0];
-      for (int j = 1; j < kv_len; ++j) mx = std::max(mx, scores[j]);
-      float sum = 0.0f;
-      for (int j = 0; j < kv_len; ++j) {
-        scores[j] = std::exp(scores[j] - mx);
-        sum += scores[j];
-      }
-      const float inv = 1.0f / sum;
-      for (int j = 0; j < kv_len; ++j) scores[j] *= inv;
+    }
+    SoftmaxRows(scores, num_heads, kv_len);
+    for (int h = 0; h < num_heads; ++h) {
+      const int off = h * dh;
+      const float* srow = scores + static_cast<size_t>(h) * kv_len;
       // Weighted value sum; skip exact zeros like GemmAcc does.
       for (int j = 0; j < kv_len; ++j) {
-        const float a = scores[j];
+        const float a = srow[j];
         if (a == 0.0f) continue;
         const float* vrow = vrows + static_cast<size_t>(j) * d + off;
         for (int p = 0; p < dh; ++p) crow[off + p] += a * vrow[p];
@@ -188,7 +188,7 @@ inline void AttendRows(const Tensor& q, const MultiHeadAttention& attn,
 /// and K transposed to [dh, L]; then each block of 4 queries takes
 /// GemmAcc's 4-row x 8-key register tiles into a zeroed score block (each
 /// score sums its products in ascending p from 0, zero q terms skipped),
-/// the scalar softmax in the Softmax op's scale/max/exp/normalize order,
+/// the scale and then SoftmaxRows, the Softmax op's kernel, on the block,
 /// and GemmAcc's 4-row x dh-lane tiles (8- and 4-lane vectors plus a
 /// scalar lane tail) over ascending keys into a zeroed output block,
 /// skipping exact-zero weights.
@@ -238,19 +238,8 @@ inline void AttendSequences(const Tensor& q, const Tensor& k, const Tensor& v,
         const int rows = std::min(kQueryBlock, len - i0);
         std::fill(scores, scores + static_cast<size_t>(rows) * len, 0.0f);
         GemmAcc(qh + static_cast<size_t>(i0) * dh, kt, scores, rows, dh, len);
-        for (int r = 0; r < rows; ++r) {
-          float* srow = scores + static_cast<size_t>(r) * len;
-          for (int j = 0; j < len; ++j) srow[j] *= scale;
-          float mx = srow[0];
-          for (int j = 1; j < len; ++j) mx = std::max(mx, srow[j]);
-          float sum = 0.0f;
-          for (int j = 0; j < len; ++j) {
-            srow[j] = std::exp(srow[j] - mx);
-            sum += srow[j];
-          }
-          const float inv = 1.0f / sum;
-          for (int j = 0; j < len; ++j) srow[j] *= inv;
-        }
+        MulRow(scores, rows * len, scale);
+        SoftmaxRows(scores, rows, len);
         std::fill(out, out + static_cast<size_t>(rows) * dh, 0.0f);
         GemmAcc(scores, vh, out, rows, len, dh);
         for (int r = 0; r < rows; ++r) {

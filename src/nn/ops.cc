@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "nn/gemm.h"
+#include "nn/softmax.h"
 
 namespace dtt {
 namespace nn {
@@ -11,6 +12,8 @@ namespace nn {
 using internal::GemmAcc;
 using internal::GemmAtAcc;
 using internal::GemmBtAcc;
+using internal::ReluRow;
+using internal::SoftmaxRows;
 
 Var MatMul(const Var& a, const Var& b) {
   assert(a.value().rank() == 2 && b.value().rank() == 2);
@@ -134,9 +137,7 @@ Var AddConst(const Var& a, Tensor c) {
 
 Var Relu(const Var& x) {
   Tensor out = x.value();
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (out.data()[i] < 0.0f) out.data()[i] = 0.0f;
-  }
+  ReluRow(out.data(), out.size());
   Var xv = x;
   return MakeOpNode(std::move(out), {x}, [xv](Node* self) {
     if (!xv.node()->requires_grad) return;
@@ -175,9 +176,9 @@ Var Gelu(const Var& x) {
   });
 }
 
-// Contract relied on by the graph-free decoders (nn/infer_internal.h): the
-// max/exp/normalize order below is mirrored exactly by AttendRows, and a
-// -1e9 additive mask drives exp() to an exact float 0, which the zero-
+// Contract relied on by the graph-free decoders (nn/infer_internal.h): this
+// op and their attention kernels run the one SoftmaxRows (nn/softmax.h), and
+// a -1e9 additive mask drives its exp to an exact float 0, which the zero-
 // skipping GEMMs then drop — so masked batched attention is bit-identical
 // to unmasked attention over only the valid positions.
 Var Softmax(const Var& x) {
@@ -185,18 +186,7 @@ Var Softmax(const Var& x) {
   const int rows = in.rank() == 2 ? in.rows() : 1;
   const int cols = in.rank() == 2 ? in.cols() : in.dim(0);
   Tensor out = in;
-  for (int r = 0; r < rows; ++r) {
-    float* row = out.data() + static_cast<size_t>(r) * cols;
-    float mx = row[0];
-    for (int j = 1; j < cols; ++j) mx = std::max(mx, row[j]);
-    float sum = 0.0f;
-    for (int j = 0; j < cols; ++j) {
-      row[j] = std::exp(row[j] - mx);
-      sum += row[j];
-    }
-    float inv = 1.0f / sum;
-    for (int j = 0; j < cols; ++j) row[j] *= inv;
-  }
+  SoftmaxRows(out.data(), rows, cols);
   Var xv = x;
   Tensor saved = out;
   return MakeOpNode(std::move(out), {x},
@@ -428,21 +418,12 @@ Var CrossEntropyLoss(const Var& logits, const std::vector<int>& targets,
   const int v = logits.value().cols();
   assert(static_cast<int>(targets.size()) == t);
   // Stable softmax probabilities, saved for the pullback.
-  Tensor probs({t, v});
+  Tensor probs = logits.value();
+  SoftmaxRows(probs.data(), t, v);
   double loss_sum = 0.0;
   int counted = 0;
   for (int i = 0; i < t; ++i) {
-    const float* row = logits.value().data() + static_cast<size_t>(i) * v;
-    float* prow = probs.data() + static_cast<size_t>(i) * v;
-    float mx = row[0];
-    for (int j = 1; j < v; ++j) mx = std::max(mx, row[j]);
-    float sum = 0.0f;
-    for (int j = 0; j < v; ++j) {
-      prow[j] = std::exp(row[j] - mx);
-      sum += prow[j];
-    }
-    float inv = 1.0f / sum;
-    for (int j = 0; j < v; ++j) prow[j] *= inv;
+    const float* prow = probs.data() + static_cast<size_t>(i) * v;
     int tgt = targets[static_cast<size_t>(i)];
     if (tgt == ignore_index) continue;
     assert(tgt >= 0 && tgt < v);

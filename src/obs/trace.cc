@@ -241,8 +241,6 @@ Status StartTracing(const std::string& path) {
 
 Status StopTracing() { return Recorder::Get().Stop(); }
 
-std::string RenderTraceJson() { return Recorder::Get().Render(); }
-
 double TraceTimestampUs(TraceClock::time_point tp) {
   return Recorder::Get().ToUs(tp);
 }

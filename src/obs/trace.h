@@ -41,10 +41,6 @@ Status StartTracing(const std::string& path);
 /// and clears the buffers. No-op (OK) when tracing was never started.
 Status StopTracing();
 
-/// Renders the currently buffered events as Chrome trace JSON without
-/// stopping or clearing (tests; cheap diagnostics).
-std::string RenderTraceJson();
-
 /// Microseconds since the trace epoch (process start of the recorder) for
 /// an arbitrary steady_clock time point — for events whose true start was
 /// stamped before the emitting code ran (queue waits).
