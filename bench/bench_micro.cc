@@ -320,19 +320,6 @@ void BM_EncodeRowsLen(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeRowsLen)->Arg(71);
 
-// The autograd, padded reference encoder over the same prompts.
-void BM_EncodeBatch(benchmark::State& state) {
-  Rng rng(18);
-  nn::Transformer model(EncoderBenchConfig(), &rng);
-  const auto prompts = EncoderBenchPrompts(static_cast<int>(state.range(0)));
-  const nn::PaddedBatch batch = nn::PaddedBatch::Pack(prompts);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.EncodeBatch(batch));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EncodeBatch)->Arg(1)->Arg(8);
-
 // The encoder's attention kernel alone at the perfbench shape: one sequence
 // of `len` rows, dim 48, 4 heads (head width 12).
 void BM_AttendSequences(benchmark::State& state) {

@@ -1,4 +1,4 @@
-// Experiment E9 — ablations of the design choices DESIGN.md §4 calls out:
+// Experiment E9 — ablations of the DTT design choices of the paper's §4:
 //   1. aggregation (n=1 vs n=5 trials, Eq. 3-4);
 //   2. context size k (1 vs 2 vs 3 examples per prompt, §4.1);
 //   3. reverse/replace generalization in the model (§5.5's "not limited to

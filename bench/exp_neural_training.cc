@@ -24,7 +24,8 @@ constexpr uint64_t kSeed = 20249;
 int Main() {
   auto ctx = bench::BeginExperiment(
       "exp_neural_training",
-      "neural training demo (miniature ByT5-style model, see DESIGN.md §1)",
+      "neural training demo (miniature ByT5-style model, see "
+      "docs/architecture.md, \"Substitutions\")",
       /*default_row_scale=*/1.0, kSeed);
   const int groups = bench::IntFromEnv("DTT_NEURAL_GROUPS", 120);
   const int epochs = bench::IntFromEnv("DTT_NEURAL_EPOCHS", 3);

@@ -51,7 +51,8 @@ namespace {
 // pre-training distribution (random character soup): its pair
 // representations blur. Simulated by shrinking the feature vector toward an
 // uninformative mid-point plus a deterministic per-pair perturbation
-// (DESIGN.md §1; reproduces Ditto's precision collapse on Syn, Table 1).
+// (docs/architecture.md, "Substitutions"; reproduces Ditto's precision
+// collapse on Syn, Table 1).
 std::array<double, kDittoFeatures> MaybeBlurFeatures(
     std::array<double, kDittoFeatures> f, const std::string& a,
     const std::string& b) {

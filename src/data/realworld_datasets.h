@@ -7,8 +7,8 @@
 namespace dtt {
 
 /// Generation knobs for the simulated real-world benchmarks. Defaults match
-/// the statistics reported in §5.2 of the paper (see DESIGN.md §1 for the
-/// substitution rationale).
+/// the statistics reported in §5.2 of the paper (see docs/architecture.md,
+/// "Substitutions", for the rationale).
 struct RealWorldOptions {
   int wt_tables = 31;     // Web Tables: 31 pairs, ~92 rows, ~31 chars, noisy
   int ss_tables = 108;    // Spreadsheet: 108 pairs, ~34 rows, ~19 chars, clean

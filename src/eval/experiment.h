@@ -10,7 +10,8 @@
 
 namespace dtt {
 
-/// Knowledge-coverage constants of the simulated models (DESIGN.md §1):
+/// Knowledge-coverage constants of the simulated models (docs/architecture.md,
+/// "Substitutions"):
 /// the benchmark KB (KnowledgeBase::Builtin()) is the *world truth* the KBWT
 /// tables are generated from; each model only knows a slice of it, which is
 /// what produces the partial KBWT scores the paper reports.

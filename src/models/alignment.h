@@ -105,7 +105,7 @@ struct AtomProgram {
 
 /// Synthesis configuration; the power switches are what differentiate the
 /// simulated fine-tuned byte model from the simulated general-purpose LLM
-/// (see DESIGN.md §1).
+/// (see docs/architecture.md, "Substitutions").
 struct InductionConfig {
   bool allow_char_range = true;   // absolute substring atoms
   bool allow_token_slice = true;  // token prefixes/suffixes (initials)

@@ -84,7 +84,8 @@ class TokenStreamDecoder {
 ///
 /// Implementations:
 ///  * NeuralSeq2SeqModel  — the from-scratch byte-level transformer
-///  * PatternInductionModel — simulated fine-tuned byte LM (see DESIGN.md)
+///  * PatternInductionModel — simulated fine-tuned byte LM (see
+///    docs/architecture.md, "Substitutions")
 ///  * KnowledgeLM — simulated general-purpose LLM (GPT-3 stand-in)
 class TextToTextModel {
  public:

@@ -15,7 +15,8 @@ namespace dtt {
 /// a TextToTextModel so the whole DTT pipeline (decompose, serialize,
 /// aggregate, join) runs end-to-end on a trainable model. Used by the
 /// Figure-4 training sweeps and the neural examples; the paper-scale result
-/// tables use the simulated backends (DESIGN.md §1).
+/// tables use the simulated backends (docs/architecture.md,
+/// "Substitutions").
 struct NeuralModelOptions {
   int max_output_tokens = 64;
   int beam_size = 1;  // 1 = greedy

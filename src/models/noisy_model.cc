@@ -19,23 +19,4 @@ std::string CorruptChars(const std::string& s, double err_rate, Rng* rng) {
   return out;
 }
 
-NoisyModel::NoisyModel(std::shared_ptr<TextToTextModel> inner,
-                       double failure_prob, double char_noise, uint64_t seed)
-    : inner_(std::move(inner)),
-      failure_prob_(failure_prob),
-      char_noise_(char_noise),
-      base_rng_(seed) {}
-
-std::string NoisyModel::name() const { return inner_->name() + "+noise"; }
-
-Result<std::string> NoisyModel::Transform(const Prompt& prompt) {
-  auto result = inner_->Transform(prompt);
-  if (!result.ok()) return result;
-  // Deterministic per-(input, context) noise stream.
-  Serializer serializer;
-  Rng rng = base_rng_.Fork(Rng::HashString(serializer.RenderPrompt(prompt)));
-  if (!rng.NextBool(failure_prob_)) return result;
-  return CorruptChars(result.value(), char_noise_, &rng);
-}
-
 }  // namespace dtt

@@ -1,10 +1,8 @@
 #ifndef DTT_MODELS_NOISY_MODEL_H_
 #define DTT_MODELS_NOISY_MODEL_H_
 
-#include <memory>
 #include <string>
 
-#include "models/model.h"
 #include "util/rng.h"
 
 namespace dtt {
@@ -15,28 +13,6 @@ namespace dtt {
 /// auto-regressive decoder does not emit exact strings, and the DTT
 /// aggregator must absorb the resulting inconsistency.
 std::string CorruptChars(const std::string& s, double err_rate, Rng* rng);
-
-/// Decorator injecting failures into any model: with probability
-/// `failure_prob` the wrapped model's output is corrupted at `char_noise`
-/// per-character rate (used by robustness tests and the ablation bench).
-class NoisyModel : public TextToTextModel {
- public:
-  NoisyModel(std::shared_ptr<TextToTextModel> inner, double failure_prob,
-             double char_noise, uint64_t seed);
-
-  std::string name() const override;
-  Result<std::string> Transform(const Prompt& prompt) override;
-
-  /// The noise stream is a pure function of (seed, prompt) — base_rng_ is
-  /// only forked, never advanced — so this is as thread-safe as `inner`.
-  bool thread_safe() const override { return inner_->thread_safe(); }
-
- private:
-  std::shared_ptr<TextToTextModel> inner_;
-  double failure_prob_;
-  double char_noise_;
-  Rng base_rng_;
-};
 
 }  // namespace dtt
 

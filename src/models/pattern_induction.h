@@ -91,7 +91,7 @@ class FallbackMemo {
 
 /// Simulated fine-tuned ByT5: an example-driven character-level program
 /// synthesizer with the behavioural envelope of the paper's DTT model
-/// (DESIGN.md §1 documents the substitution).
+/// (docs/architecture.md, "Substitutions", documents the substitution).
 class PatternInductionModel : public TextToTextModel {
  public:
   explicit PatternInductionModel(PatternInductionOptions options = {});

@@ -54,56 +54,6 @@ Var MultiHeadAttention::Forward(const Var& query_input, const Var& kv_input,
   return wo_.Forward(merged);
 }
 
-MultiHeadAttention::KvCache MultiHeadAttention::ProjectKv(
-    const Var& kv_input) const {
-  return {wk_.Forward(kv_input), wv_.Forward(kv_input)};
-}
-
-Var MultiHeadAttention::ForwardBatch(const Var& query_input, const KvCache& kv,
-                                     int batch, const Tensor* mask) const {
-  assert(batch > 0);
-  assert(query_input.value().rows() % batch == 0);
-  assert(kv.k.value().rows() % batch == 0);
-  const int tq = query_input.value().rows() / batch;
-  const int tk = kv.k.value().rows() / batch;
-  // One projection GEMM over the whole packed batch; attention itself runs
-  // per sequence block so sequences never attend across each other.
-  Var q = wq_.Forward(query_input);  // [B*Tq,D]
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  std::vector<Var> merged;
-  merged.reserve(static_cast<size_t>(batch));
-  for (int b = 0; b < batch; ++b) {
-    Var qb = SliceRows(q, b * tq, tq);
-    Var kb = SliceRows(kv.k, b * tk, tk);
-    Var vb = SliceRows(kv.v, b * tk, tk);
-    Tensor mb;
-    const Tensor* m = nullptr;
-    if (mask != nullptr) {
-      assert(mask->rank() == 2 || mask->rank() == 3);
-      if (mask->rank() == 3) {
-        mb = mask->BatchSlice(b);
-        m = &mb;
-      } else {
-        m = mask;
-      }
-      assert(m->rows() == tq && m->cols() == tk);
-    }
-    std::vector<Var> heads;
-    heads.reserve(static_cast<size_t>(num_heads_));
-    for (int h = 0; h < num_heads_; ++h) {
-      Var qh = SliceCols(qb, h * head_dim_, head_dim_);
-      Var kh = SliceCols(kb, h * head_dim_, head_dim_);
-      Var vh = SliceCols(vb, h * head_dim_, head_dim_);
-      Var scores = Scale(MatMul(qh, Transpose(kh)), scale);  // [Tq,Tk]
-      if (m != nullptr) scores = AddConst(scores, *m);
-      Var attn = Softmax(scores);
-      heads.push_back(MatMul(attn, vh));
-    }
-    merged.push_back(ConcatCols(heads));  // [Tq,D]
-  }
-  return wo_.Forward(ConcatRows(merged));  // [B*Tq,D]
-}
-
 void MultiHeadAttention::CollectParams(const std::string& prefix,
                                        std::vector<NamedParam>* out) {
   wq_.CollectParams(prefix + ".wq", out);

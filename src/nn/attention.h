@@ -19,26 +19,6 @@ class MultiHeadAttention : public Module {
   /// decoder). Query input [Tq,D], key/value input [Tk,D] -> [Tq,D].
   Var Forward(const Var& query_input, const Var& kv_input, bool causal) const;
 
-  /// Projected keys/values of a (batched) key/value input. Computing the
-  /// cache once and reusing it across decode steps avoids re-projecting the
-  /// static encoder memory at every step of an incremental decode; the
-  /// graph-free engines (nn/infer.cc, nn/beam.cc) additionally share one
-  /// projection across all beam hypotheses — and all duplicate prompts — of
-  /// a batch via per-row base offsets into the cached rows.
-  struct KvCache {
-    Var k;  // [B*Tk, D]
-    Var v;  // [B*Tk, D]
-  };
-  KvCache ProjectKv(const Var& kv_input) const;
-
-  /// Batched attention over `batch` sequences packed row-wise: queries
-  /// [B*Tq, D], cached keys/values [B*Tk, D] -> [B*Tq, D]. Sequences only
-  /// attend within their own block. `mask` is an optional additive score
-  /// mask: rank-2 [Tq, Tk] shared by every sequence (causal masks), or
-  /// rank-3 [B, Tq, Tk] per sequence (length masks); nullptr = no mask.
-  Var ForwardBatch(const Var& query_input, const KvCache& kv, int batch,
-                   const Tensor* mask) const;
-
   void CollectParams(const std::string& prefix,
                      std::vector<NamedParam>* out) override;
 

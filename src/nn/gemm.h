@@ -21,9 +21,9 @@ namespace internal {
 //     GemmAcc and GemmAtAcc resume from the element's existing value;
 //     GemmBtAcc sums a fresh dot product and adds it to the element once.
 //  2. Terms whose A operand is an exact fp32 zero are skipped. The skip is
-//     load-bearing for speed (padded batch rows and masked-out softmax
-//     scores are exact zeros by construction — see the Softmax/PaddedBatch
-//     notes in nn/ops.cc), but never for values: for finite inputs and
+//     load-bearing for speed (ReLU outputs and causally masked softmax
+//     scores are exact zeros by construction — see the Softmax note in
+//     nn/ops.cc), but never for values: for finite inputs and
 //     accumulators that are not -0.0, skipping `c += 0.0f * b` is bitwise
 //     neutral. nn_gemm_test pins both parts against naive loops with no
 //     skip. A faster kernel must keep this order; reassociating one
@@ -129,10 +129,9 @@ inline void GemmAtAcc(const float* a, const float* b, float* c, int k, int m,
 
 /// C += A * B^T for A [m,k], B [n,k] -> C [m,n]. Carries the same
 /// `av == 0.0f` skip as GemmAcc/GemmAtAcc (the asymmetry was an oversight):
-/// rows of A that are exact zeros — padded batch rows backpropagating zero
-/// grad through MatMul — skip their multiply-adds entirely. Skipping a zero
-/// term is bitwise-neutral for the fresh `dot` accumulator, so this changed
-/// no output bit (nn_gemm_test pins the pre-change goldens).
+/// rows of A that are exact zeros skip their multiply-adds entirely.
+/// Skipping a zero term is bitwise-neutral for the fresh `dot` accumulator,
+/// so this changed no output bit (nn_gemm_test pins the pre-change goldens).
 inline void GemmBtAcc(const float* a, const float* b, float* c, int m, int k,
                       int n) {
   for (int i = 0; i < m; ++i) {

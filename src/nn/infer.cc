@@ -55,9 +55,9 @@ struct DecodeMetrics {
 }  // namespace
 
 // Each step mirrors EncoderLayer::Forward op for op. Packing without padding
-// is exact: in EncodeBatch a padded key gets -1e9 added, so its softmax
-// weight is exactly 0.0f — it adds +0 to the softmax sum and is skipped by
-// the value GEMM — and every valid row comes out the same bits as here.
+// is exact: the row-wise ops never mix rows, and AttendSequences attends only
+// within a prompt's own rows, so every prompt's rows come out the same bits
+// as Encode over that prompt alone.
 Tensor Transformer::EncodeRows(const std::vector<std::vector<int>>& prompts,
                                std::vector<int>* offsets) const {
   offsets->assign(1, 0);

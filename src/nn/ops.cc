@@ -179,8 +179,8 @@ Var Gelu(const Var& x) {
 // Contract relied on by the graph-free decoders (nn/infer_internal.h): this
 // op and their attention kernels run the one SoftmaxRows (nn/softmax.h), and
 // a -1e9 additive mask drives its exp to an exact float 0, which the zero-
-// skipping GEMMs then drop — so masked batched attention is bit-identical
-// to unmasked attention over only the valid positions.
+// skipping GEMMs then drop — so causally masked attention is bit-identical
+// to unmasked attention over only the visible positions.
 Var Softmax(const Var& x) {
   const Tensor& in = x.value();
   const int rows = in.rank() == 2 ? in.rows() : 1;
@@ -354,59 +354,6 @@ Var ConcatCols(const std::vector<Var>& parts) {
         p.node()->AccumulateGrad(dp);
       }
       off2 += d;
-    }
-  });
-}
-
-Var SliceRows(const Var& x, int begin, int len) {
-  assert(x.value().rank() == 2);
-  const int t = x.value().rows();
-  const int d = x.value().cols();
-  assert(begin >= 0 && begin + len <= t);
-  Tensor out({len, d});
-  const float* src = x.value().data() + static_cast<size_t>(begin) * d;
-  float* dst = out.data();
-  for (size_t i = 0; i < static_cast<size_t>(len) * d; ++i) dst[i] = src[i];
-  Var xv = x;
-  return MakeOpNode(std::move(out), {x}, [xv, begin, len, t, d](Node* self) {
-    if (!xv.node()->requires_grad) return;
-    Tensor dx({t, d});
-    float* dst2 = dx.data() + static_cast<size_t>(begin) * d;
-    const float* src2 = self->grad.data();
-    for (size_t i = 0; i < static_cast<size_t>(len) * d; ++i) dst2[i] = src2[i];
-    xv.node()->AccumulateGrad(dx);
-  });
-}
-
-Var ConcatRows(const std::vector<Var>& parts) {
-  assert(!parts.empty());
-  const int d = parts[0].value().cols();
-  int total = 0;
-  for (const auto& p : parts) {
-    assert(p.value().cols() == d);
-    total += p.value().rows();
-  }
-  Tensor out({total, d});
-  size_t off = 0;
-  for (const auto& p : parts) {
-    const size_t n = p.value().size();
-    const float* src = p.value().data();
-    float* dst = out.data() + off;
-    for (size_t i = 0; i < n; ++i) dst[i] = src[i];
-    off += n;
-  }
-  std::vector<Var> saved = parts;
-  return MakeOpNode(std::move(out), parts, [saved](Node* self) {
-    size_t off2 = 0;
-    for (const auto& p : saved) {
-      const size_t n = p.value().size();
-      if (p.node()->requires_grad) {
-        Tensor dp(p.value().shape());
-        const float* src = self->grad.data() + off2;
-        for (size_t i = 0; i < n; ++i) dp.data()[i] = src[i];
-        p.node()->AccumulateGrad(dp);
-      }
-      off2 += n;
     }
   });
 }

@@ -52,14 +52,6 @@ Var SliceCols(const Var& x, int begin, int len);
 /// Concatenates rank-2 tensors with equal row counts along columns.
 Var ConcatCols(const std::vector<Var>& parts);
 
-/// Row slice [begin:begin+len, *) of a rank-2 tensor; extracts one sequence
-/// from a packed [B*T, D] batch.
-Var SliceRows(const Var& x, int begin, int len);
-
-/// Concatenates rank-2 tensors with equal column counts along rows; packs
-/// per-sequence results back into a [B*T, D] batch.
-Var ConcatRows(const std::vector<Var>& parts);
-
 /// Mean cross-entropy from logits [T,V] against integer targets (length T).
 /// Positions whose target equals `ignore_index` contribute nothing.
 Var CrossEntropyLoss(const Var& logits, const std::vector<int>& targets,

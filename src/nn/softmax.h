@@ -33,7 +33,8 @@ namespace internal {
 //    non-FMA body at run time (they differ on two inputs), this kernel does
 //    not, and -ffp-contract=off keeps the compiler from fusing `C0*r + C1`.
 // Inputs below -0x1.9fe368p6 (about -103.97) return exactly +0, which the
-// -1e9 additive mask of padded attention relies on (see nn/ops.cc).
+// -1e9 additive causal mask of the autograd decoder relies on (see
+// nn/ops.cc).
 //
 // SoftmaxRows keeps the scalar softmax's value order: the row max (exact in
 // any order for non-NaN input, so it runs in lanes), x - max and exp per

@@ -90,16 +90,6 @@ void Tensor::AxpyInPlace(float alpha, const Tensor& b) {
   for (size_t i = 0; i < n; ++i) d[i] += alpha * o[i];
 }
 
-Tensor Tensor::BatchSlice(int b) const {
-  assert(rank() == 3);
-  assert(b >= 0 && b < shape_[0]);
-  Tensor out({shape_[1], shape_[2]});
-  const size_t block = static_cast<size_t>(shape_[1]) * shape_[2];
-  const float* src = data() + static_cast<size_t>(b) * block;
-  for (size_t i = 0; i < block; ++i) out.data_[i] = src[i];
-  return out;
-}
-
 float Tensor::Sum() const {
   const float* d = data();
   const size_t n = size();

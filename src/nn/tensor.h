@@ -8,10 +8,10 @@
 namespace dtt {
 namespace nn {
 
-/// Dense row-major float tensor. Rank 1 or 2 covers the per-sequence model;
-/// rank 3 adds a leading batch dimension ([B, R, C], used for per-sequence
-/// attention masks on the batched inference path). Kept dumb on purpose —
-/// all smart behaviour lives in the autograd ops.
+/// Dense row-major float tensor of rank 1 or 2: the autograd model runs one
+/// unpadded sequence at a time, and the batched inference engines pack
+/// sequences row-wise. Kept dumb on purpose — all smart behaviour lives in
+/// the autograd ops.
 ///
 /// Storage comes in two modes:
 ///   * owned    — the default: elements live in a heap std::vector<float>.
@@ -70,21 +70,9 @@ class Tensor {
   float at(int r, int c) const {
     return data()[static_cast<size_t>(r) * cols() + c];
   }
-  /// 3-D accessors (rank must be 3, layout [B, R, C]).
-  float& at(int b, int r, int c) {
-    return mutable_data()[(static_cast<size_t>(b) * shape_[1] + r) * shape_[2] +
-                          c];
-  }
-  float at(int b, int r, int c) const {
-    return data()[(static_cast<size_t>(b) * shape_[1] + r) * shape_[2] + c];
-  }
 
   int rows() const { return shape_.empty() ? 0 : shape_[0]; }
   int cols() const { return rank() < 2 ? 1 : shape_[1]; }
-
-  /// The 2-D [R, C] slice at batch index `b` of a rank-3 [B, R, C] tensor
-  /// (a contiguous copy of the underlying row block).
-  Tensor BatchSlice(int b) const;
 
   void Fill(float value);
   void AddInPlace(const Tensor& other);           // this += other

@@ -47,46 +47,16 @@ float Seq2SeqTrainer::InstanceLoss(const TrainingInstance& inst,
 float Seq2SeqTrainer::BatchLoss(
     const std::vector<const TrainingInstance*>& batch, bool backprop,
     int* num_counted) {
-  if (num_counted != nullptr) *num_counted = 0;
-  std::vector<EncodedInstance> encoded;
-  encoded.reserve(batch.size());
+  float total = 0.0f;
+  int counted = 0;
   for (const TrainingInstance* inst : batch) {
-    EncodedInstance enc = EncodeInstance(*inst);
-    if (enc.valid) encoded.push_back(std::move(enc));
+    const float loss = InstanceLoss(*inst, backprop);
+    if (loss < 0.0f) continue;  // over a length limit
+    total += loss;
+    ++counted;
   }
-  if (encoded.empty()) return -1.0f;
-  if (num_counted != nullptr) {
-    *num_counted = static_cast<int>(encoded.size());
-  }
-
-  std::vector<std::vector<int>> inputs, dec_ins;
-  inputs.reserve(encoded.size());
-  dec_ins.reserve(encoded.size());
-  for (const auto& enc : encoded) {
-    inputs.push_back(enc.input_ids);
-    dec_ins.push_back(enc.decoder_ids);
-  }
-  PaddedBatch enc_batch = PaddedBatch::Pack(inputs);
-  PaddedBatch dec_batch = PaddedBatch::Pack(dec_ins);
-  Var memory = model_->EncodeBatch(enc_batch);
-  Var logits =
-      model_->DecodeLogitsBatch(memory, enc_batch.lengths, dec_batch);
-
-  // Per-instance cross-entropy over that instance's (unpadded) positions,
-  // summed: backprop of the sum reproduces the gradient of the old
-  // per-instance accumulation loop exactly.
-  Var total;
-  for (size_t b = 0; b < encoded.size(); ++b) {
-    const int len = static_cast<int>(encoded[b].decoder_ids.size());
-    Var rows = SliceRows(logits, static_cast<int>(b) * dec_batch.padded_len,
-                         len);
-    Var loss = CrossEntropyLoss(rows, encoded[b].targets);
-    total = total.defined() ? Add(total, loss) : loss;
-  }
-  float mean =
-      total.value().at(0) / static_cast<float>(encoded.size());
-  if (backprop) total.Backward();
-  return mean;
+  if (num_counted != nullptr) *num_counted = counted;
+  return counted ? total / static_cast<float>(counted) : -1.0f;
 }
 
 float Seq2SeqTrainer::TrainEpoch(const std::vector<TrainingInstance>& instances,

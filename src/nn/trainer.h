@@ -15,8 +15,8 @@ namespace nn {
 /// Training configuration for the masked-target objective of §5.1.
 struct TrainerOptions {
   int epochs = 3;
-  /// Instances per optimizer step, run as one padded batched
-  /// forward/backward (gradients equal the old per-instance accumulation).
+  /// Instances per optimizer step. Each runs its own unpadded
+  /// forward/backward, in batch order, and their gradients accumulate.
   int batch_size = 16;
   AdamOptions adam;
   /// Upper bound on serialized input length; instances longer than this are
@@ -37,8 +37,8 @@ struct EvalResult {
 
 /// Runs teacher-forced training of a byte-level Transformer on masked
 /// transformation instances ("mask all characters in the target and predict
-/// the masked bytes", §4.2). Each optimizer step runs one true batched
-/// forward/backward over a padded instance batch.
+/// the masked bytes", §4.2). Each optimizer step sums the gradients of one
+/// unpadded forward/backward per instance of its batch.
 class Seq2SeqTrainer {
  public:
   Seq2SeqTrainer(Transformer* model, Serializer serializer,
@@ -54,12 +54,12 @@ class Seq2SeqTrainer {
   /// `backprop`).
   float InstanceLoss(const TrainingInstance& inst, bool backprop);
 
-  /// Mean teacher-forced loss of a batch of instances, computed in one
-  /// padded batched forward. Instances over the length limits are skipped
-  /// (`num_counted`, if given, receives how many contributed); returns -1 if
-  /// nothing remains. When `backprop`, accumulates the gradient of the SUM
-  /// of per-instance losses — the same total gradient the old per-instance
-  /// accumulation produced.
+  /// Mean teacher-forced loss of a batch of instances: InstanceLoss over
+  /// each in batch order, summed in float and divided by the count.
+  /// Instances over the length limits are skipped (`num_counted`, if given,
+  /// receives how many contributed); returns -1 if nothing remains. When
+  /// `backprop`, accumulates the gradient of the SUM of per-instance
+  /// losses, bit for bit the per-instance gradients added in batch order.
   float BatchLoss(const std::vector<const TrainingInstance*>& batch,
                   bool backprop, int* num_counted = nullptr);
 

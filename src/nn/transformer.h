@@ -25,29 +25,12 @@ struct TransformerConfig {
   float dropout = 0.0f;
 };
 
-/// A batch of token-id sequences padded to a common length with <pad>.
-/// Sequence b occupies flat[b*padded_len .. (b+1)*padded_len); lengths holds
-/// the true (unpadded) lengths for attention masking.
-struct PaddedBatch {
-  std::vector<int> flat;
-  std::vector<int> lengths;
-  int padded_len = 0;
-
-  int batch() const { return static_cast<int>(lengths.size()); }
-
-  /// Packs `seqs` into a padded batch. Empty sequences get length 0.
-  static PaddedBatch Pack(const std::vector<std::vector<int>>& seqs);
-};
-
 /// One pre-norm encoder block: LN -> self-attn -> +res, LN -> FF -> +res.
 class EncoderLayer : public Module {
  public:
   EncoderLayer(const TransformerConfig& cfg, Rng* rng);
 
   Var Forward(const Var& x) const;
-  /// Batched forward over `batch` sequences packed as [B*T, D]; `mask` is
-  /// the additive self-attention mask (see MultiHeadAttention::ForwardBatch).
-  Var ForwardBatch(const Var& x, int batch, const Tensor* mask) const;
   void CollectParams(const std::string& prefix,
                      std::vector<NamedParam>* out) override;
 
@@ -72,17 +55,6 @@ class DecoderLayer : public Module {
 
   Var Forward(const Var& x, const Var& memory) const;
 
-  /// Projects the (batched) encoder memory into this layer's cross-attention
-  /// keys/values; computed once per decode and reused across steps.
-  MultiHeadAttention::KvCache PrecomputeCross(const Var& memory) const;
-
-  /// Batched forward: x [B*L, D], causal `self_mask`, cross-attention over
-  /// the cached memory keys/values under `cross_mask` (masks padded memory
-  /// positions per sequence).
-  Var ForwardBatch(const Var& x, int batch, const Tensor* self_mask,
-                   const MultiHeadAttention::KvCache& cross_kv,
-                   const Tensor* cross_mask) const;
-
   void CollectParams(const std::string& prefix,
                      std::vector<NamedParam>* out) override;
 
@@ -104,8 +76,9 @@ class DecoderLayer : public Module {
 };
 
 /// The full sequence-to-sequence model operating on token-id sequences.
-/// Runs single sequences (the original path) or packed padded batches with
-/// length masking; the two are bit-exact on the non-padded positions.
+/// The autograd graph (Encode/DecodeLogits) runs one unpadded sequence at a
+/// time: it is the training path and the oracle of the graph-free batched
+/// inference engines, which reproduce it bit for bit.
 class Transformer : public Module {
  public:
   Transformer(TransformerConfig cfg, Rng* rng);
@@ -113,24 +86,9 @@ class Transformer : public Module {
   /// Runs the encoder over the serialized prompt -> memory [Ts, D].
   Var Encode(const std::vector<int>& input_ids) const;
 
-  /// Batched encoder pass over padded inputs -> memory [B*T, D]. Padded key
-  /// positions are masked out of self-attention, so each sequence's valid
-  /// memory rows are bit-exact with the unbatched Encode. For training (the
-  /// batched trainer) and as the oracle of the inference encoder only; the
-  /// decode engines encode through the graph-free EncodeRows.
-  Var EncodeBatch(const PaddedBatch& inputs) const;
-
   /// Teacher-forcing decoder pass: given memory and decoder input ids
   /// (<sos> t1 .. tn), returns logits [n+1, V] predicting (t1 .. tn <eos>).
   Var DecodeLogits(const Var& memory, const std::vector<int>& decoder_ids) const;
-
-  /// Batched teacher-forcing pass: `memory` [B*Tm, D] from EncodeBatch (with
-  /// `memory_lengths` its true lengths), `decoder_ids` padded decoder inputs.
-  /// Returns logits [B*L, V]; rows at padded decoder positions are garbage
-  /// and must be excluded from any loss.
-  Var DecodeLogitsBatch(const Var& memory,
-                        const std::vector<int>& memory_lengths,
-                        const PaddedBatch& decoder_ids) const;
 
   /// Batched greedy decoding until <eos> or `max_steps`; returns each
   /// prompt's generated ids (without <sos>/<eos>). A DecodeSession sized to
@@ -189,7 +147,7 @@ class Transformer : public Module {
   /// Returns the packed memory [sum of lengths, D]: prompt b's rows start at
   /// (*offsets)[b], and `offsets` gets one trailing entry, the total row
   /// count.
-  /// Bit-identical to Encode and to EncodeBatch's valid rows.
+  /// Bit-identical to Encode, prompt by prompt.
   Tensor EncodeRows(const std::vector<std::vector<int>>& prompts,
                     std::vector<int>* offsets) const;
 
@@ -202,14 +160,6 @@ class Transformer : public Module {
   const Tensor& DecodeStepRows(internal::DecodeScratch* scratch) const;
 
   Var Embed(const std::vector<int>& ids) const;
-  /// Embeds a padded batch: token embeddings plus per-sequence positions.
-  Var EmbedBatch(const PaddedBatch& batch) const;
-  /// Decoder stack up to the final hidden state [B*L, D] with precomputed
-  /// per-layer cross-attention caches.
-  Var DecodeHiddenBatch(
-      const PaddedBatch& decoder_ids,
-      const std::vector<MultiHeadAttention::KvCache>& cross_caches,
-      const Tensor& cross_mask) const;
 };
 
 }  // namespace nn

@@ -71,7 +71,7 @@ bool IsDigits(std::string_view s);
 /// with a vowel and a plausible case pattern (lower / UPPER / Title). Tokens
 /// shorter than 2 characters are not counted as evidence either way.
 /// Used by the simulated-LLM backends to tell natural-language-ish cells from
-/// random byte soup (DESIGN.md §1).
+/// random byte soup (docs/architecture.md, "Substitutions").
 bool IsWordLikeToken(std::string_view token);
 
 /// Fraction of word-like tokens (length >= 2) across `cells`, tokenized on

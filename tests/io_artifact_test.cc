@@ -276,7 +276,7 @@ TEST_F(ModelArtifactTest, ArtifactModelDecodesIdenticallyToHeapModel) {
   ASSERT_TRUE(loaded.ok());
 
   // Same batched forward (encoder + greedy decode) through both storage
-  // modes: a ForwardBatch round trip must be bit-exact.
+  // modes: the round trip must be bit-exact.
   const std::vector<std::vector<int>> inputs = {{5, 6, 7, 8}, {9, 10, 11}};
   const auto heap_out = heap_model.GenerateBatch(inputs, /*max_steps=*/8);
   const auto mmap_out =

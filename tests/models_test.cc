@@ -469,23 +469,6 @@ TEST(CorruptCharsTest, FullRateChangesMostCharacters) {
   EXPECT_LT(same, 40);  // only accidental re-draws of 'a'
 }
 
-TEST(NoisyModelTest, WrapsAndCorrupts) {
-  auto inner = std::make_shared<PatternInductionModel>();
-  NoisyModel always_noisy(inner, /*failure_prob=*/1.0, /*char_noise=*/1.0,
-                          /*seed=*/3);
-  NoisyModel never_noisy(inner, /*failure_prob=*/0.0, /*char_noise=*/1.0,
-                         /*seed=*/3);
-  Prompt p = MakePrompt(
-      {{"John Smith", "Smith"}, {"Alice Walker", "Walker"}}, "Maria Garcia");
-  auto clean = never_noisy.Transform(p);
-  auto noisy = always_noisy.Transform(p);
-  ASSERT_TRUE(clean.ok());
-  ASSERT_TRUE(noisy.ok());
-  EXPECT_EQ(clean.value(), "Garcia");
-  EXPECT_NE(noisy.value(), "Garcia");
-  EXPECT_EQ(always_noisy.name(), "dtt+noise");
-}
-
 TEST(NeuralModelTest, ProducesSomeOutputUntrained) {
   Rng rng(4);
   nn::TransformerConfig cfg;

@@ -1,7 +1,6 @@
 // Batched-vs-serial equivalence of the inference and training paths: the
-// padded, length-masked batch code and the unpadded inference encoder must
-// reproduce the single-sequence code bit-for-bit (inference) or within
-// float tolerance (gradients).
+// packed inference engines and the batch trainer must reproduce the
+// single-sequence autograd code bit for bit.
 #include <algorithm>
 #include <cstring>
 #include <map>
@@ -55,45 +54,11 @@ std::vector<int> RandomIds(int len, Rng* rng) {
   return ids;
 }
 
-TEST(PaddedBatchTest, PacksWithPadAndLengths) {
-  nn::PaddedBatch batch = nn::PaddedBatch::Pack({{7, 8, 9}, {5}});
-  EXPECT_EQ(batch.batch(), 2);
-  EXPECT_EQ(batch.padded_len, 3);
-  EXPECT_EQ(batch.lengths, (std::vector<int>{3, 1}));
-  EXPECT_EQ(batch.flat,
-            (std::vector<int>{7, 8, 9, 5, Vocab::kPad, Vocab::kPad}));
-}
-
-TEST(EncodeBatchTest, ValidRowsBitExactWithSerialEncode) {
-  Rng rng(31);
-  nn::Transformer model(TinyConfig(), &rng);
-  Rng data_rng(32);
-  std::vector<std::vector<int>> inputs = {
-      RandomIds(9, &data_rng), RandomIds(17, &data_rng),
-      RandomIds(4, &data_rng)};
-  nn::PaddedBatch batch = nn::PaddedBatch::Pack(inputs);
-  nn::Var memory = model.EncodeBatch(batch);
-  const int dim = model.config().dim;
-  for (size_t b = 0; b < inputs.size(); ++b) {
-    nn::Var serial = model.Encode(inputs[b]);
-    const int len = static_cast<int>(inputs[b].size());
-    nn::Tensor rows({len, dim});
-    for (int i = 0; i < len; ++i) {
-      for (int j = 0; j < dim; ++j) {
-        rows.at(i, j) = memory.value().at(
-            static_cast<int>(b) * batch.padded_len + i, j);
-      }
-    }
-    EXPECT_TENSOR_EQ(rows, serial.value()) << "sequence " << b;
-  }
-}
-
 TEST(GenerateBatchTest, BitExactWithPerSequenceGreedyDecode) {
   Rng rng(41);
   nn::Transformer model(TinyConfig(), &rng);
   Rng data_rng(42);
-  // Mixed lengths force encoder padding; equal lengths exercise the
-  // no-padding fast path.
+  // Mixed lengths, and two equal ones.
   std::vector<std::vector<int>> inputs = {
       RandomIds(12, &data_rng), RandomIds(5, &data_rng),
       RandomIds(23, &data_rng), RandomIds(12, &data_rng),
@@ -195,10 +160,9 @@ bool RowsBitIdentical(const nn::Tensor& t, int row, const nn::Tensor& expected) 
                      expected.data(), bytes) == 0;
 }
 
-// Checks EncodeRows over `inputs` against EncodeBatch's valid rows and the
-// serial Encode, bit for bit.
-void ExpectEncodeRowsMatchesGraph(const nn::Transformer& model,
-                                  const std::vector<std::vector<int>>& inputs) {
+// Checks EncodeRows over `inputs` against the serial Encode, bit for bit.
+void ExpectEncodeRowsMatchesEncode(
+    const nn::Transformer& model, const std::vector<std::vector<int>>& inputs) {
   std::vector<int> offsets;
   nn::Tensor packed = nn::TransformerPeer::EncodeRows(model, inputs, &offsets);
   ASSERT_EQ(offsets.size(), inputs.size() + 1);
@@ -209,26 +173,14 @@ void ExpectEncodeRowsMatchesGraph(const nn::Transformer& model,
   const int dim = model.config().dim;
   ASSERT_EQ(packed.rows(), offsets.back());
   ASSERT_EQ(packed.cols(), dim);
-
-  nn::PaddedBatch batch = nn::PaddedBatch::Pack(inputs);
-  const nn::Var memory = model.EncodeBatch(batch);
-  const nn::Tensor& padded = memory.value();
   for (size_t b = 0; b < inputs.size(); ++b) {
-    const int len = static_cast<int>(inputs[b].size());
-    nn::Tensor valid({len, dim});
-    std::memcpy(valid.data(),
-                padded.data() +
-                    static_cast<size_t>(b) * batch.padded_len * dim,
-                sizeof(float) * valid.size());
-    EXPECT_TRUE(RowsBitIdentical(packed, offsets[b], valid))
-        << "EncodeBatch, sequence " << b << " of length " << len;
     EXPECT_TRUE(RowsBitIdentical(packed, offsets[b],
                                  model.Encode(inputs[b]).value()))
-        << "Encode, sequence " << b << " of length " << len;
+        << "sequence " << b << " of length " << inputs[b].size();
   }
 }
 
-TEST(EncodeRowsTest, PackedRowsBitIdenticalToEncodeBatchAndSerialEncode) {
+TEST(EncodeRowsTest, PackedRowsBitIdenticalToSerialEncode) {
   const nn::TransformerConfig cfg = TinyConfig();
   for (uint64_t seed : {111u, 112u, 113u}) {
     Rng rng(seed);
@@ -243,7 +195,7 @@ TEST(EncodeRowsTest, PackedRowsBitIdenticalToEncodeBatchAndSerialEncode) {
     inputs.push_back(inputs[2]);
     data_rng.Shuffle(&inputs);
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
-    ExpectEncodeRowsMatchesGraph(model, inputs);
+    ExpectEncodeRowsMatchesEncode(model, inputs);
   }
 }
 
@@ -251,7 +203,7 @@ TEST(EncodeRowsTest, GroupOfOneMatchesSerialEncode) {
   Rng rng(121);
   nn::Transformer model(TinyConfig(), &rng);
   Rng data_rng(122);
-  ExpectEncodeRowsMatchesGraph(model, {RandomIds(23, &data_rng)});
+  ExpectEncodeRowsMatchesEncode(model, {RandomIds(23, &data_rng)});
 }
 
 // The whole-sequence kernel against the per-row decode kernel, one query row
@@ -311,7 +263,7 @@ TEST(AttendSequencesTest, BitIdenticalToAttendRowsPerQueryRow) {
 // --- Trainer batching -------------------------------------------------------
 
 std::vector<TrainingInstance> TrainingInstances() {
-  // Varying label lengths force decoder padding in the batch.
+  // Varying input and label lengths.
   std::vector<TrainingInstance> instances;
   const char* rows[][2] = {{"abc-def", "DEF"}, {"ghi-jk", "JK"},
                            {"lmnop-qrstu", "QRSTU"}, {"v-w", "W"}};
@@ -358,7 +310,7 @@ TEST(BatchTrainerTest, BatchGradientsMatchAccumulatedGradients) {
   nn::Transformer model(TinyConfig(), &rng);
   nn::Seq2SeqTrainer trainer = MakeTrainer(&model);
   std::vector<TrainingInstance> instances = TrainingInstances();
-  // Accumulate per-instance gradients the old way and snapshot them.
+  // Accumulate per-instance gradients and snapshot them.
   for (const auto& inst : instances) {
     ASSERT_GE(trainer.InstanceLoss(inst, /*backprop=*/true), 0.0f);
   }
@@ -368,15 +320,14 @@ TEST(BatchTrainerTest, BatchGradientsMatchAccumulatedGradients) {
     accumulated.push_back(param.var.grad());
     param.var.node()->ZeroGrad();
   }
-  // One batched backward over the same instances.
+  // One BatchLoss backward over the same instances, in the same order.
   std::vector<const TrainingInstance*> batch;
   for (const auto& inst : instances) batch.push_back(&inst);
   ASSERT_GE(trainer.BatchLoss(batch, /*backprop=*/true), 0.0f);
   std::vector<nn::NamedParam> params = model.Params();
   ASSERT_EQ(params.size(), accumulated.size());
   for (size_t i = 0; i < params.size(); ++i) {
-    EXPECT_TENSOR_NEAR(params[i].var.grad(), accumulated[i], 1e-4f)
-        << params[i].name;
+    EXPECT_TENSOR_EQ(params[i].var.grad(), accumulated[i]) << params[i].name;
     params[i].var.node()->ZeroGrad();
   }
 }

@@ -1,6 +1,6 @@
 // Bit-exactness of the batched KV-cache beam engine against the retained
-// per-prompt autograd BeamDecode reference: beam widths {1, 2, 4}, mixed and
-// padded prompt lengths, duplicate prompts (shared encoder memory), long
+// per-prompt autograd BeamDecode reference: beam widths {1, 2, 4}, mixed
+// prompt lengths, duplicate prompts (shared encoder memory), long
 // decodes that force repeated KV-cache gathers after pruning/reranking, and
 // the model-level beam TransformBatch path.
 #include <memory>
@@ -37,9 +37,8 @@ std::vector<int> RandomIds(int len, Rng* rng) {
   return ids;
 }
 
-// Mixed lengths force encoder padding; the repeated length and the exact
-// duplicate exercise the no-padding corner and the shared-encoder-memory
-// (prompt dedup) path respectively.
+// Mixed lengths, a repeated length, and an exact duplicate that exercises
+// the shared-encoder-memory (prompt dedup) path.
 std::vector<std::vector<int>> MixedPrompts(Rng* rng) {
   std::vector<std::vector<int>> prompts = {
       RandomIds(11, rng), RandomIds(4, rng), RandomIds(21, rng),

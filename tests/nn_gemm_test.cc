@@ -31,8 +31,8 @@ Tensor RandomTensor(const std::vector<int>& shape, Rng* rng) {
 }
 
 // Plants exact zeros in a row-major [rows, cols] operand: every fifth
-// element, plus the whole last row when there is more than one (the shape of
-// a padded batch row), so the kernels' zero skip is on the path.
+// element, plus the whole last row when there is more than one, so the
+// kernels' zero skip is on the path.
 void SprinkleZeros(Tensor* t) {
   for (size_t i = 0; i < t->size(); i += 5) t->data()[i] = 0.0f;
   const int rows = t->rows();

@@ -98,15 +98,16 @@ TEST(TensorBorrowedTest, CopiesStayBorrowedAndShareStorage) {
 
 TEST(TensorBorrowedTest, ReadingOpsMatchOwned) {
   std::vector<float> store = {1, -2, 3, 4, -5, 6, 0.5f, 7, -8, 9, 10, -11};
-  const Tensor borrowed = Tensor::Borrowed({2, 2, 3}, store.data(), store.size());
-  Tensor owned({2, 2, 3});
-  for (size_t i = 0; i < store.size(); ++i) owned.at(static_cast<int>(i) / 6,
-                                                     (static_cast<int>(i) / 3) % 2,
-                                                     static_cast<int>(i) % 3) = store[i];
+  const Tensor borrowed = Tensor::Borrowed({4, 3}, store.data(), store.size());
+  Tensor owned({4, 3});
+  for (size_t i = 0; i < store.size(); ++i) {
+    owned.at(static_cast<int>(i) / 3, static_cast<int>(i) % 3) = store[i];
+  }
   EXPECT_FLOAT_EQ(borrowed.Sum(), owned.Sum());
   EXPECT_FLOAT_EQ(borrowed.L2Norm(), owned.L2Norm());
-  EXPECT_TENSOR_EQ(borrowed.BatchSlice(1), owned.BatchSlice(1));
-  EXPECT_FALSE(borrowed.BatchSlice(1).borrowed());  // slices are owned copies
+  for (int r = 0; r < 4; ++r) {
+    for (int c = 0; c < 3; ++c) EXPECT_EQ(borrowed.at(r, c), owned.at(r, c));
+  }
 }
 
 TEST(TensorBorrowedTest, OwnedCopyDetachesFromStorage) {
@@ -129,7 +130,7 @@ TEST(TensorBorrowedDeathTest, MutatingOpsAbort) {
   EXPECT_DEATH(t.data()[0] = 5.0f, "borrowed");
 }
 
-TEST(TensorBorrowedTest, SliceRowsMatchesOwnedBitForBit) {
+TEST(TensorBorrowedTest, SliceColsMatchesOwnedBitForBit) {
   std::vector<float> store(4 * 3);
   for (size_t i = 0; i < store.size(); ++i) {
     store[i] = 0.25f * static_cast<float>(i) - 1.0f;
@@ -139,11 +140,12 @@ TEST(TensorBorrowedTest, SliceRowsMatchesOwnedBitForBit) {
     for (int c = 0; c < 3; ++c) owned.at(r, c) = store[static_cast<size_t>(r) * 3 + c];
   }
   const Var from_owned =
-      SliceRows(Var::Leaf(owned, /*requires_grad=*/false), 1, 2);
-  const Var from_borrowed = SliceRows(
+      SliceCols(Var::Leaf(owned, /*requires_grad=*/false), 1, 2);
+  const Var from_borrowed = SliceCols(
       Var::Leaf(Tensor::Borrowed({4, 3}, store.data(), store.size()),
                 /*requires_grad=*/false),
       1, 2);
+  EXPECT_FALSE(from_borrowed.value().borrowed());  // slices are owned copies
   EXPECT_TENSOR_EQ(from_borrowed.value(), from_owned.value());
 }
 
