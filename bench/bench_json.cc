@@ -17,7 +17,7 @@ std::vector<std::pair<std::string, std::string>> DttEnvOverrides() {
   // Pure output-location knobs: they never change results, and stamping
   // machine-local paths would make otherwise-identical runs incomparable
   // (the opposite of the stamp's purpose).
-  constexpr const char* kPathOnly[] = {"DTT_BENCH_JSON", "DTT_DATASET_CACHE"};
+  constexpr const char* kPathOnly[] = {"DTT_BENCH_JSON"};
   std::vector<std::pair<std::string, std::string>> overrides;
   for (char** env = environ; env != nullptr && *env != nullptr; ++env) {
     if (std::strncmp(*env, "DTT_", 4) != 0) continue;

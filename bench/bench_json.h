@@ -23,8 +23,8 @@ inline constexpr int64_t kBenchJsonSchemaVersion = 4;
 /// The DTT_* environment overrides in effect, sorted by name — the knobs
 /// (row scale, worker counts, sweep grids, ...) that make two runs of the
 /// same bench incomparable when they differ. Stamped into every document.
-/// Pure output-location knobs (DTT_BENCH_JSON, DTT_DATASET_CACHE) are
-/// excluded: they never affect results.
+/// The pure output-location knob DTT_BENCH_JSON is excluded: it never
+/// affects results.
 std::vector<std::pair<std::string, std::string>> DttEnvOverrides();
 
 /// A flat ordered JSON object of scalar fields.

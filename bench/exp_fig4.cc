@@ -107,7 +107,6 @@ SweepPoint RunPoint(const bench::ExpContext& ctx, int groups, int min_len,
       model, Serializer(sopts), nopts);
   PipelineOptions popts;
   popts.decomposer.num_trials = 3;
-  popts.serializer = sopts;
   ExperimentSpec spec = EvalSpec(ctx, point_seed);
   spec.AddMethod(std::make_unique<DttJoinMethod>(
       "neural", std::vector<std::shared_ptr<TextToTextModel>>{backend},

@@ -22,7 +22,6 @@
 #include <thread>
 
 #include "bench/exp_common.h"
-#include "data/dataset_cache.h"
 #include "data/realworld_datasets.h"
 #include "data/synthetic_datasets.h"
 #include "eval/experiment.h"
@@ -110,7 +109,6 @@ void NeuralThroughput(uint64_t seed, bench::BenchJsonReporter* report) {
   double batched_rows_per_sec = 0.0;
   for (const Config& c : configs) {
     PipelineOptions popts;
-    popts.serializer = sopts;
     popts.batch_size = c.batch_size;
     popts.num_threads = c.num_threads;
     DttPipeline pipeline(model, popts);
@@ -279,11 +277,6 @@ void GridSharding(const bench::ExpContext& ctx,
 int Main() {
   auto ctx = bench::BeginExperiment("exp_runtime", "§5.5 runtime scalability",
                                     /*default_row_scale=*/1.0, kSeed);
-  // Generated inputs are cached on disk keyed by (generator, seed, scale),
-  // so repeated driver runs skip regeneration ($DTT_DATASET_CACHE overrides
-  // the directory; 0/off/none disables).
-  DatasetCache cache(DatasetCacheDirFromEnv());
-
   PrintBanner("(a) runtime vs input length (one 40-row synthetic table)");
   {
     TablePrinter table({"len", "DTT s", "CST s", "AFJ s", "Ditto s"});
@@ -293,9 +286,8 @@ int Main() {
       opts.rows_per_table = 40;
       opts.min_len = len;
       opts.max_len = len + 2;
-      Dataset ds = cache.GetOrGenerate(
-          {"syn", ctx.seed + static_cast<uint64_t>(len), ScaleTag(opts)},
-          [&](Rng* rng) { return MakeSyn(opts, rng); });
+      Rng rng(ctx.seed + static_cast<uint64_t>(len));
+      Dataset ds = MakeSyn(opts, &rng);
       GridResult grid = TimeOnTable(ctx, ds.name, ds.tables[0]);
       std::vector<std::string> row = {std::to_string(len)};
       for (const std::string& method : grid.methods) {
@@ -315,9 +307,8 @@ int Main() {
   PrintBanner("(b) runtime vs row count (phone-10-short vs phone-10-long)");
   {
     RealWorldOptions opts;
-    Dataset ss = cache.GetOrGenerate(
-        {"spreadsheet", ctx.seed, ScaleTag(opts)},
-        [&](Rng* rng) { return MakeSpreadsheet(opts, rng); });
+    Rng rng(ctx.seed);
+    Dataset ss = MakeSpreadsheet(opts, &rng);
     TablePrinter table({"table", "rows", "DTT s", "CST s", "AFJ s", "Ditto s"});
     for (const char* name : {"phone-10-short", "phone-10-long"}) {
       const TablePair* t = FindTable(ss, name);
@@ -346,9 +337,8 @@ int Main() {
       opts.rows_per_table = rows;
       // Fixed seed: the SAME transformation program at every row count, so
       // the sweep isolates row-count growth from program difficulty.
-      Dataset ds = cache.GetOrGenerate(
-          {"syn", ctx.seed + 777, ScaleTag(opts)},
-          [&](Rng* rng) { return MakeSyn(opts, rng); });
+      Rng rng(ctx.seed + 777);
+      Dataset ds = MakeSyn(opts, &rng);
       GridResult grid = TimeOnTable(ctx, ds.name, ds.tables[0]);
       std::vector<std::string> row = {std::to_string(rows)};
       for (const std::string& method : grid.methods) {
@@ -377,12 +367,6 @@ int Main() {
   std::printf(
       "\nShape check vs §5.5: the CST column grows much faster than the DTT "
       "column with both length and rows; AFJ/Ditto sit between.\n");
-  if (cache.enabled()) {
-    std::printf("dataset cache (%s): %llu hits, %llu misses\n",
-                cache.dir().c_str(),
-                static_cast<unsigned long long>(cache.hits()),
-                static_cast<unsigned long long>(cache.misses()));
-  }
   ctx.Finish();
   return 0;
 }

@@ -59,7 +59,6 @@ int main() {
   NeuralModelOptions nopts;
   nopts.max_output_tokens = 16;
   PipelineOptions popts;
-  popts.serializer = sopts;
   popts.decomposer.num_trials = 3;
   DttPipeline pipeline(
       std::make_shared<NeuralSeq2SeqModel>(model, Serializer(sopts), nopts),

@@ -1,7 +1,6 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <future>
 
 #include "obs/trace.h"
@@ -14,15 +13,7 @@ DttPipeline::DttPipeline(std::vector<std::shared_ptr<TextToTextModel>> models,
                          PipelineOptions options)
     : models_(std::move(models)),
       options_(options),
-      decomposer_(options.decomposer) {
-  if (!options_.trace_path.empty()) {
-    Status st = obs::StartTracing(options_.trace_path);
-    if (!st.ok()) {
-      std::fprintf(stderr, "dtt: PipelineOptions.trace_path: %s\n",
-                   st.message().c_str());
-    }
-  }
-}
+      decomposer_(options.decomposer) {}
 
 DttPipeline::DttPipeline(std::shared_ptr<TextToTextModel> model,
                          PipelineOptions options)

@@ -23,7 +23,6 @@ struct RowPrediction {
 /// inference batching/sharding knobs.
 struct PipelineOptions {
   DecomposerOptions decomposer;
-  SerializerOptions serializer;
   /// Prompts per TransformBatch dispatch in TransformAll. 1 dispatches each
   /// prompt alone (TransformAllFixedBatch calls Transform directly).
   int batch_size = 16;
@@ -35,12 +34,6 @@ struct PipelineOptions {
   /// model is thread_safe().) Predictions are identical for any thread
   /// count either way.
   int num_threads = 1;
-  /// When non-empty, enables Chrome-trace span recording (obs/trace.h) and
-  /// writes the trace-event JSON to this path at StopTracing / process
-  /// exit. Applied at pipeline construction and process-global: equivalent
-  /// to DTT_TRACE=<path> in the environment.
-  /// Tracing only observes — predictions are bit-identical with it on.
-  std::string trace_path;
 };
 
 /// The DTT framework of Figure 2: decomposer + serializer + model(s) +

@@ -1,21 +1,11 @@
 #include "data/realworld_datasets.h"
 
-#include <cstdio>
 #include <functional>
 
 #include "data/names.h"
 #include "util/string_util.h"
 
 namespace dtt {
-
-std::string ScaleTag(const RealWorldOptions& opts) {
-  char noise[64];
-  std::snprintf(noise, sizeof(noise), "n%g-%g-s%g", opts.wt_noise,
-                opts.ss_noise, opts.row_scale);
-  return std::to_string(opts.wt_tables) + "-" +
-         std::to_string(opts.ss_tables) + "-" +
-         std::to_string(opts.kbwt_tables) + noise;
-}
 
 namespace {
 

@@ -21,10 +21,6 @@ struct RealWorldOptions {
   double row_scale = 1.0;
 };
 
-/// Stable encoding of every generation knob, used as the scale component of
-/// a DatasetCacheKey.
-std::string ScaleTag(const RealWorldOptions& opts);
-
 /// WT-sim: web-table style column pairs across ~17 textual topics (names,
 /// dates, phones, urls, prices, citations, addresses); includes per-row
 /// conditional formatting (Figure 1 of the paper) and natural noise.

@@ -4,12 +4,6 @@
 
 namespace dtt {
 
-std::string ScaleTag(const SyntheticOptions& opts) {
-  return std::to_string(opts.num_tables) + "x" +
-         std::to_string(opts.rows_per_table) + "x" +
-         std::to_string(opts.min_len) + "-" + std::to_string(opts.max_len);
-}
-
 namespace {
 
 SourceTextOptions SourceOpts(const SyntheticOptions& opts) {

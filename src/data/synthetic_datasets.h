@@ -15,10 +15,6 @@ struct SyntheticOptions {
   int max_len = 35;
 };
 
-/// Stable encoding of every generation knob ("10x100x8-35"), used as the
-/// scale component of a DatasetCacheKey.
-std::string ScaleTag(const SyntheticOptions& opts);
-
 /// Syn: random programs of 3..6 units applied to random input (§5.2).
 Dataset MakeSyn(const SyntheticOptions& opts, Rng* rng);
 

@@ -43,8 +43,6 @@ std::unique_ptr<JoinMethod> MakeGpt3FrameworkMethod(int num_examples,
   PipelineOptions options;
   options.decomposer.num_trials = num_trials;
   options.decomposer.context_size = num_examples;
-  // GPT-3's longer input limit admits more examples per prompt (§5.6).
-  options.serializer.max_tokens = 2048;
   return std::make_unique<DttJoinMethod>(
       "GPT3-DTT-" + std::to_string(num_examples) + "e",
       std::vector<std::shared_ptr<TextToTextModel>>{MakeGpt3Model()}, options);

@@ -149,33 +149,6 @@ Var Relu(const Var& x) {
   });
 }
 
-Var Gelu(const Var& x) {
-  // Tanh approximation: 0.5x(1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
-  constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
-  constexpr float kA = 0.044715f;
-  Tensor out = x.value();
-  for (size_t i = 0; i < out.size(); ++i) {
-    float v = out.data()[i];
-    float u = kC * (v + kA * v * v * v);
-    out.data()[i] = 0.5f * v * (1.0f + std::tanh(u));
-  }
-  Var xv = x;
-  return MakeOpNode(std::move(out), {x}, [xv](Node* self) {
-    if (!xv.node()->requires_grad) return;
-    Tensor dx(xv.value().shape());
-    for (size_t i = 0; i < dx.size(); ++i) {
-      float v = xv.value().data()[i];
-      float u = kC * (v + kA * v * v * v);
-      float th = std::tanh(u);
-      float sech2 = 1.0f - th * th;
-      float du = kC * (1.0f + 3.0f * kA * v * v);
-      float dgelu = 0.5f * (1.0f + th) + 0.5f * v * sech2 * du;
-      dx.data()[i] = self->grad.data()[i] * dgelu;
-    }
-    xv.node()->AccumulateGrad(dx);
-  });
-}
-
 // Contract relied on by the graph-free decoders (nn/infer_internal.h): this
 // op and their attention kernels run the one SoftmaxRows (nn/softmax.h), and
 // a -1e9 additive mask drives its exp to an exact float 0, which the zero-
@@ -395,26 +368,6 @@ Var CrossEntropyLoss(const Var& logits, const std::vector<int>& targets,
       drow[tgt] -= g;
     }
     lv.node()->AccumulateGrad(dl);
-  });
-}
-
-Var Dropout(const Var& x, float p, bool train, Rng* rng) {
-  if (!train || p <= 0.0f) return x;
-  const float keep = 1.0f - p;
-  Tensor mask(x.value().shape());
-  for (size_t i = 0; i < mask.size(); ++i) {
-    mask.data()[i] = rng->NextBool(keep) ? 1.0f / keep : 0.0f;
-  }
-  Tensor out = x.value();
-  for (size_t i = 0; i < out.size(); ++i) out.data()[i] *= mask.data()[i];
-  Var xv = x;
-  return MakeOpNode(std::move(out), {x}, [xv, mask](Node* self) {
-    if (!xv.node()->requires_grad) return;
-    Tensor dx(xv.value().shape());
-    for (size_t i = 0; i < dx.size(); ++i) {
-      dx.data()[i] = self->grad.data()[i] * mask.data()[i];
-    }
-    xv.node()->AccumulateGrad(dx);
   });
 }
 

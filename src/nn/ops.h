@@ -32,9 +32,6 @@ Var AddConst(const Var& a, Tensor c);
 
 Var Relu(const Var& x);
 
-/// Tanh-approximation GELU.
-Var Gelu(const Var& x);
-
 /// Row-wise softmax of a rank-2 tensor (rank-1 treated as a single row).
 Var Softmax(const Var& x);
 
@@ -56,9 +53,6 @@ Var ConcatCols(const std::vector<Var>& parts);
 /// Positions whose target equals `ignore_index` contribute nothing.
 Var CrossEntropyLoss(const Var& logits, const std::vector<int>& targets,
                      int ignore_index = -1);
-
-/// Inverted-dropout; identity when !train or p == 0.
-Var Dropout(const Var& x, float p, bool train, Rng* rng);
 
 /// Sum of all elements -> scalar [1].
 Var SumAll(const Var& x);

@@ -22,7 +22,6 @@ struct TransformerConfig {
   int encoder_layers = 3;
   int decoder_layers = 1;  // unbalanced 3:1 like ByT5
   int max_len = 512;
-  float dropout = 0.0f;
 };
 
 /// One pre-norm encoder block: LN -> self-attn -> +res, LN -> FF -> +res.

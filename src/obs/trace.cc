@@ -283,10 +283,6 @@ void TraceSpan::Arg(std::string_view key, int64_t value) {
   if (enabled_) args_.push_back(IntArg(key, value));
 }
 
-void TraceSpan::Arg(std::string_view key, double value) {
-  if (enabled_) args_.push_back(F64Arg(key, value));
-}
-
 void TraceSpan::Arg(std::string_view key, std::string_view value) {
   if (enabled_) args_.push_back(StrArg(key, value));
 }

@@ -14,14 +14,14 @@ namespace dtt {
 namespace obs {
 
 /// Chrome-trace-event span recording. Disabled by default; when enabled
-/// (DTT_TRACE=<path> at startup, PipelineOptions.trace_path, or
-/// StartTracing), RAII TraceSpans buffer complete ("X") events in
-/// per-thread logs — tagged with the thread's CurrentThreadTag() — and
-/// StopTracing flushes one JSON document loadable in Perfetto /
-/// chrome://tracing. The disabled fast path is a single relaxed atomic
-/// load per span (no clock read, no allocation): instrumentation may sit
-/// on per-step decode loops without perturbing benchmarks (<1% on
-/// BM_GenerateBatch, guarded by ObsTraceTest.DisabledSpanOverhead).
+/// (DTT_TRACE=<path> at startup, or StartTracing), RAII TraceSpans buffer
+/// complete ("X") events in per-thread logs — tagged with the thread's
+/// CurrentThreadTag() — and StopTracing flushes one JSON document loadable
+/// in Perfetto / chrome://tracing. The disabled fast path is a single
+/// relaxed atomic load per span (no clock read, no allocation):
+/// instrumentation may sit on per-step decode loops without perturbing
+/// benchmarks (<1% on BM_GenerateBatch, guarded by
+/// ObsTraceTest.DisabledSpanOverhead).
 ///
 /// Tracing never participates in computation — spans only observe — so
 /// every bit-exactness contract in the tree holds identically with
@@ -71,7 +71,6 @@ class TraceSpan {
   bool enabled() const { return enabled_; }
 
   void Arg(std::string_view key, int64_t value);
-  void Arg(std::string_view key, double value);
   void Arg(std::string_view key, std::string_view value);
 
  private:

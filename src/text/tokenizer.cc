@@ -4,11 +4,15 @@ namespace dtt {
 
 std::vector<int> ByteTokenizer::Encode(std::string_view text,
                                        bool add_sos_eos) const {
-  std::vector<int> ids;
-  ids.reserve(text.size() + (add_sos_eos ? 2 : 0));
-  if (add_sos_eos) ids.push_back(Vocab::kSos);
-  for (unsigned char b : text) ids.push_back(Vocab::ByteToken(b));
-  if (add_sos_eos) ids.push_back(Vocab::kEos);
+  const size_t offset = add_sos_eos ? 1 : 0;
+  std::vector<int> ids(text.size() + 2 * offset);
+  for (size_t i = 0; i < text.size(); ++i) {
+    ids[offset + i] = Vocab::ByteToken(static_cast<unsigned char>(text[i]));
+  }
+  if (add_sos_eos) {
+    ids.front() = Vocab::kSos;
+    ids.back() = Vocab::kEos;
+  }
   return ids;
 }
 
@@ -18,12 +22,6 @@ std::string ByteTokenizer::Decode(const std::vector<int>& ids) const {
     if (id == Vocab::kEos) break;
     if (Vocab::IsByte(id)) out.push_back(static_cast<char>(Vocab::TokenByte(id)));
   }
-  return out;
-}
-
-std::string ByteTokenizer::Render(const std::vector<int>& ids) const {
-  std::string out;
-  for (int id : ids) out += Vocab::TokenName(id);
   return out;
 }
 

@@ -22,9 +22,6 @@ class ByteTokenizer {
   /// nothing; decoding stops at the first <eos>. <pad>/<sos> are skipped.
   std::string Decode(const std::vector<int>& ids) const;
 
-  /// Human-readable rendering including special-token names (for debugging).
-  std::string Render(const std::vector<int>& ids) const;
-
   int vocab_size() const { return Vocab::kSize; }
 };
 

@@ -2,7 +2,6 @@
 #define DTT_TEXT_VOCAB_H_
 
 #include <cstdint>
-#include <string>
 
 namespace dtt {
 
@@ -28,10 +27,6 @@ class Vocab {
 
   /// The byte encoded by `id`; precondition IsByte(id).
   static uint8_t TokenByte(int id) { return static_cast<uint8_t>(id - kByteOffset); }
-
-  /// Display name of a token (byte tokens render as the character itself,
-  /// non-printables as \xHH).
-  static std::string TokenName(int id);
 };
 
 }  // namespace dtt

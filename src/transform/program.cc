@@ -44,15 +44,4 @@ bool TransformProgram::UsesKind(UnitKind kind) const {
   return false;
 }
 
-std::string TransformProgram::ToString() const {
-  std::string out;
-  for (size_t i = 0; i < steps_.size(); ++i) {
-    if (i) out += " + ";
-    out += '[';
-    out += steps_[i].ToString();
-    out += ']';
-  }
-  return out;
-}
-
 }  // namespace dtt

@@ -58,9 +58,6 @@ class TransformProgram {
   /// True if any step stacks a unit of this kind.
   bool UsesKind(UnitKind kind) const;
 
-  /// "[split('/',1)|substr(0,3)] + [literal(\"-\")] + ..." (human-readable).
-  std::string ToString() const;
-
  private:
   std::vector<TransformStep> steps_;
 };

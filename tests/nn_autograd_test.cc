@@ -100,12 +100,6 @@ TEST(AutogradTest, BackwardThroughRelu) {
   });
 }
 
-TEST(AutogradTest, BackwardThroughGelu) {
-  CheckGradient(RandomTensor({2, 4}, 13), [](const Var& x) {
-    return SumAll(Gelu(x));
-  });
-}
-
 TEST(AutogradTest, BackwardThroughSoftmax) {
   Tensor w = RandomTensor({2, 5}, 14);
   CheckGradient(RandomTensor({2, 5}, 15, 0.5f), [w](const Var& x) {
@@ -225,21 +219,6 @@ TEST(AutogradTest, NoGradLeavesStayClean) {
   SumAll(Mul(x, y)).Backward();
   EXPECT_FALSE(x.node()->HasGrad());
   EXPECT_TRUE(y.node()->HasGrad());
-}
-
-TEST(AutogradTest, DropoutIdentityInEval) {
-  Rng rng(1);
-  Var x = Var::Leaf(Tensor::Full({4}, 2.0f), false);
-  Var y = Dropout(x, 0.5f, /*train=*/false, &rng);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(y.value().at(i), 2.0f);
-}
-
-TEST(AutogradTest, DropoutScalesKeptUnits) {
-  Rng rng(2);
-  Var x = Var::Leaf(Tensor::Full({1000}, 1.0f), false);
-  Var y = Dropout(x, 0.5f, /*train=*/true, &rng);
-  // Inverted dropout keeps the expectation: mean stays near 1.
-  EXPECT_NEAR(y.value().Sum() / 1000.0f, 1.0f, 0.1f);
 }
 
 TEST(AutogradTest, AddConstNoGradientExplosion) {

@@ -620,10 +620,9 @@ TEST_F(ObsTraceTest, PoolPrepareSpanCarriesTheEncode) {
   }
 }
 
-// PipelineOptions.trace_path is the API-level switch: constructing the
-// pipeline starts tracing, the TransformAll span appears, and predictions
-// still match the reference.
-TEST_F(ObsTraceTest, PipelineTracePathEnablesTracing) {
+// A pipeline run while tracing is on records its TransformAll span, and its
+// predictions still match the untraced reference.
+TEST_F(ObsTraceTest, PipelineTransformAllIsTracedAndUnchanged) {
   const std::vector<ExamplePair> examples = {{"alpha-beta", "beta"},
                                              {"gamma-delta", "delta"}};
   const std::vector<std::string> sources = {"epsilon-zeta", "eta-theta"};
@@ -634,10 +633,8 @@ TEST_F(ObsTraceTest, PipelineTracePathEnablesTracing) {
   const auto ref = untraced.TransformAll(sources, examples, &ref_rng);
 
   const std::string path = TempFile("pipeline_trace.json");
-  PipelineOptions traced_opts = base;
-  traced_opts.trace_path = path;
-  DttPipeline traced(std::make_shared<PatternInductionModel>(), traced_opts);
-  EXPECT_TRUE(TracingEnabled());
+  ASSERT_TRUE(StartTracing(path).ok());
+  DttPipeline traced(std::make_shared<PatternInductionModel>(), base);
   Rng rng(9);
   const auto got = traced.TransformAll(sources, examples, &rng);
   ASSERT_TRUE(StopTracing().ok());

@@ -195,7 +195,6 @@ TEST(ServeServiceTest, BeamBackendDeterministicAcrossConfigs) {
        std::vector<std::pair<int, int>>{{1, 1}, {8, 1}, {8, 4}}) {
     PipelineOptions opts;
     opts.decomposer.num_trials = 3;
-    opts.serializer = sopts;
     opts.batch_size = batch_size;
     opts.num_threads = num_threads;
     DttPipeline pipeline(model, opts);

@@ -3,9 +3,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 namespace dtt {
 namespace testing {
@@ -54,60 +51,6 @@ namespace {
     }
   }
   return ::testing::AssertionSuccess();
-}
-
-std::string TestDataPath(std::string_view name) {
-  return std::string(DTT_TEST_DATA_DIR) + "/" + std::string(name);
-}
-
-::testing::AssertionResult MatchesGoldenFile(std::string_view golden_name,
-                                             std::string_view actual) {
-  const std::string path = TestDataPath(golden_name);
-  const char* update = std::getenv("DTT_UPDATE_GOLDENS");
-  if (update != nullptr && update[0] != '\0' && update[0] != '0') {
-    std::ofstream os(path, std::ios::binary);
-    os.write(actual.data(), static_cast<std::streamsize>(actual.size()));
-    if (!os) {
-      return ::testing::AssertionFailure()
-             << "failed to update golden file " << path;
-    }
-    return ::testing::AssertionSuccess() << "golden file updated: " << path;
-  }
-
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    return ::testing::AssertionFailure()
-           << "missing golden file " << path
-           << " (run with DTT_UPDATE_GOLDENS=1 to create it)";
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const std::string expected = buf.str();
-  if (expected == actual) return ::testing::AssertionSuccess();
-
-  // Report the first differing line to keep failures readable.
-  std::istringstream ea(expected);
-  std::string actual_str(actual);
-  std::istringstream aa(actual_str);
-  std::string eline, aline;
-  size_t line = 1;
-  while (true) {
-    const bool has_e = static_cast<bool>(std::getline(ea, eline));
-    const bool has_a = static_cast<bool>(std::getline(aa, aline));
-    if (!has_e && !has_a) break;
-    if (!has_e || !has_a || eline != aline) {
-      return ::testing::AssertionFailure()
-             << "differs from golden " << path << " at line " << line
-             << ":\n  golden: " << (has_e ? eline : "<eof>")
-             << "\n  actual: " << (has_a ? aline : "<eof>")
-             << "\n(run with DTT_UPDATE_GOLDENS=1 to accept the new output)";
-    }
-    ++line;
-  }
-  return ::testing::AssertionFailure()
-         << "differs from golden " << path
-         << " (trailing-byte difference; run with DTT_UPDATE_GOLDENS=1 to "
-            "accept)";
 }
 
 }  // namespace testing

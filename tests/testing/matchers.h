@@ -1,9 +1,6 @@
 #ifndef DTT_TESTS_TESTING_MATCHERS_H_
 #define DTT_TESTS_TESTING_MATCHERS_H_
 
-#include <string>
-#include <string_view>
-
 #include <gtest/gtest.h>
 
 #include "nn/tensor.h"
@@ -21,15 +18,6 @@ namespace testing {
 /// -0.0f from 0.0f and treats identical NaNs as equal.
 ::testing::AssertionResult TensorEq(const nn::Tensor& actual,
                                     const nn::Tensor& expected);
-
-/// Compares `actual` against the golden file `golden_name` under the suite's
-/// testdata directory (DTT_TEST_DATA_DIR). Run the test binary with
-/// DTT_UPDATE_GOLDENS=1 to rewrite goldens instead of failing.
-::testing::AssertionResult MatchesGoldenFile(std::string_view golden_name,
-                                             std::string_view actual);
-
-/// Absolute path of a file under the testdata directory.
-std::string TestDataPath(std::string_view name);
 
 }  // namespace testing
 }  // namespace dtt

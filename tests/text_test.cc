@@ -26,13 +26,6 @@ TEST(VocabTest, ByteRoundTrip) {
   EXPECT_FALSE(Vocab::IsByte(Vocab::kSize));
 }
 
-TEST(VocabTest, TokenNames) {
-  EXPECT_EQ(Vocab::TokenName(Vocab::kSos), "<sos>");
-  EXPECT_EQ(Vocab::TokenName(Vocab::kTr), "<tr>");
-  EXPECT_EQ(Vocab::TokenName(Vocab::ByteToken('a')), "a");
-  EXPECT_EQ(Vocab::TokenName(Vocab::ByteToken(0x01)), "\\x01");
-}
-
 TEST(TokenizerTest, EncodeDecodeRoundTrip) {
   ByteTokenizer tok;
   std::string text = "Hello, DTT! \xC3\xA9";  // includes multi-byte UTF-8
@@ -48,6 +41,16 @@ TEST(TokenizerTest, SosEosWrapping) {
   EXPECT_EQ(ids.front(), Vocab::kSos);
   EXPECT_EQ(ids.back(), Vocab::kEos);
   EXPECT_EQ(tok.Decode(ids), "ab");  // specials skipped
+
+  const std::vector<int> empty = tok.Encode("", /*add_sos_eos=*/true);
+  EXPECT_EQ(empty, (std::vector<int>{Vocab::kSos, Vocab::kEos}));
+  EXPECT_TRUE(tok.Encode("").empty());
+
+  // Bytes >= 0x80 map through unsigned char, never a negative id.
+  const std::vector<int> high = tok.Encode("\xFFz", /*add_sos_eos=*/true);
+  EXPECT_EQ(high, (std::vector<int>{Vocab::kSos, Vocab::ByteToken(0xFF),
+                                    Vocab::ByteToken('z'), Vocab::kEos}));
+  EXPECT_EQ(tok.Decode(high), "\xFFz");
 }
 
 TEST(TokenizerTest, DecodeStopsAtEos) {
