@@ -29,24 +29,32 @@ namespace internal {
 //     skip. A faster kernel must keep this order; reassociating one
 //     element's sum changes output bits.
 //
-// GemmAcc keeps a tile of C in registers across the whole p loop: up to 4
-// rows by 8 columns, as two 4-lane vectors per row, with 4-lane and scalar
-// tiles for the n % 8 tail. Vector lanes run over j (a score row's keys or
-// an output row's head lanes, when AttendSequences calls it), and the rows
-// of a tile (its queries) are separate accumulators. No lane or row adds
-// into another's sum and no sum is split over p, so each element still
-// starts from its own C value and adds its own terms in ascending p, one
-// rounded multiply and one rounded add each, as the scalar loop did. That
-// holds only while the compiler does not contract `acc += a * b` into an
-// FMA, which is why the build pins -ffp-contract=off.
+// GemmAcc keeps a tile of C in registers across the whole p loop, up to 4
+// rows by two vectors per row. When the build targets AVX2 (the root
+// CMakeLists.txt adds -march=x86-64-v3 on hosts that have it) the vectors
+// are 8 lanes wide, so tiles are 16 columns, followed by one 8-lane tile;
+// otherwise they are 4 lanes wide, so tiles are 8 columns. A 4-lane and a
+// scalar tile take the rest of the columns. Vector lanes run over j (a
+// score row's keys or an output row's head lanes, when AttendSequences
+// calls it), and the rows of a tile (its queries) are separate
+// accumulators. No lane or row adds into another's sum and no sum is split
+// over p, so each element still starts from its own C value and adds its
+// own terms in ascending p, one rounded multiply and one rounded add each,
+// as the scalar loop did, whatever the tile width. That holds only while
+// the compiler does not contract `acc += a * b` into an FMA, which is why
+// the build pins -ffp-contract=off.
 
 /// Four fp32 lanes in GCC/Clang vector-extension form; the compiler lowers
 /// them to whatever the target has, so no ISA-specific code is needed.
 typedef float Lanes4 __attribute__((vector_size(16)));
+#ifdef __AVX2__
+/// Eight fp32 lanes: one AVX register.
+typedef float Lanes8 __attribute__((vector_size(32)));
+#endif
 
-/// One tile: rows [0, R) of A/C by V values of type T (Lanes4, or float for
-/// the column tail) starting at column j. Loads and stores go through
-/// memcpy because rows carry only float alignment.
+/// One tile: rows [0, R) of A/C by V values of type T (Lanes8, Lanes4, or
+/// float for the column tail) starting at column j. Loads and stores go
+/// through memcpy because rows carry only float alignment.
 template <int R, int V, typename T>
 inline void GemmTile(const float* a, const float* b, float* c, int k, int n,
                      int j) {
@@ -84,7 +92,15 @@ inline void GemmTile(const float* a, const float* b, float* c, int k, int n,
 template <int R>
 inline void GemmRows(const float* a, const float* b, float* c, int k, int n) {
   int j = 0;
+#ifdef __AVX2__
+  for (; j + 16 <= n; j += 16) GemmTile<R, 2, Lanes8>(a, b, c, k, n, j);
+  if (j + 8 <= n) {
+    GemmTile<R, 1, Lanes8>(a, b, c, k, n, j);
+    j += 8;
+  }
+#else
   for (; j + 8 <= n; j += 8) GemmTile<R, 2, Lanes4>(a, b, c, k, n, j);
+#endif
   if (j + 4 <= n) {
     GemmTile<R, 1, Lanes4>(a, b, c, k, n, j);
     j += 4;

@@ -186,12 +186,12 @@ inline void AttendRows(const Tensor& q, const MultiHeadAttention& attn,
 /// Scale -> Softmax -> MatMul(attn, vh), because both products run through
 /// GemmAcc itself. Per sequence and head, Q and V are gathered to [L, dh]
 /// and K transposed to [dh, L]; then each block of 4 queries takes
-/// GemmAcc's 4-row x 8-key register tiles into a zeroed score block (each
-/// score sums its products in ascending p from 0, zero q terms skipped),
-/// the scale and then SoftmaxRows, the Softmax op's kernel, on the block,
-/// and GemmAcc's 4-row x dh-lane tiles (8- and 4-lane vectors plus a
-/// scalar lane tail) over ascending keys into a zeroed output block,
-/// skipping exact-zero weights.
+/// GemmAcc's 4-row register tiles over the keys (16 or 8 keys wide, see
+/// nn/gemm.h) into a zeroed score block (each score sums its products in
+/// ascending p from 0, zero q terms skipped), the scale and then
+/// SoftmaxRows, the Softmax op's kernel, on the block, and GemmAcc's 4-row
+/// x dh-lane tiles (8- and 4-lane vectors plus a scalar lane tail) over
+/// ascending keys into a zeroed output block, skipping exact-zero weights.
 inline void AttendSequences(const Tensor& q, const Tensor& k, const Tensor& v,
                             const MultiHeadAttention& attn,
                             const std::vector<int>& offsets, Tensor* ctx,

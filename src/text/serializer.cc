@@ -13,31 +13,36 @@ int Serializer::RowBudget(int num_examples) const {
   return std::max(1, (options_.max_tokens - specials) / rows);
 }
 
-std::string Serializer::Truncate(const std::string& row, int budget) const {
+std::string_view Serializer::Truncate(std::string_view row,
+                                      int budget) const {
   if (!options_.enforce_row_budget) return row;
-  if (static_cast<int>(row.size()) <= budget) return row;
   return row.substr(0, static_cast<size_t>(budget));
 }
 
 std::vector<int> Serializer::EncodePrompt(const Prompt& prompt) const {
   const int budget = RowBudget(static_cast<int>(prompt.examples.size()));
-  std::vector<int> ids;
-  ids.push_back(Vocab::kSos);
+  // One id per kept byte plus the 2k+3 specials, sized once.
+  size_t size = 2 * prompt.examples.size() + 3 +
+                Truncate(prompt.source, budget).size();
   for (const auto& ex : prompt.examples) {
-    for (unsigned char b : Truncate(ex.source, budget)) {
-      ids.push_back(Vocab::ByteToken(b));
-    }
-    ids.push_back(Vocab::kTr);
-    for (unsigned char b : Truncate(ex.target, budget)) {
-      ids.push_back(Vocab::ByteToken(b));
-    }
-    ids.push_back(Vocab::kEoe);
+    size += Truncate(ex.source, budget).size() +
+            Truncate(ex.target, budget).size();
   }
-  for (unsigned char b : Truncate(prompt.source, budget)) {
-    ids.push_back(Vocab::ByteToken(b));
+  std::vector<int> ids(size);
+  int* out = ids.data();
+  const auto put_bytes = [&out](std::string_view row) {
+    for (unsigned char b : row) *out++ = Vocab::ByteToken(b);
+  };
+  *out++ = Vocab::kSos;
+  for (const auto& ex : prompt.examples) {
+    put_bytes(Truncate(ex.source, budget));
+    *out++ = Vocab::kTr;
+    put_bytes(Truncate(ex.target, budget));
+    *out++ = Vocab::kEoe;
   }
-  ids.push_back(Vocab::kTr);
-  ids.push_back(Vocab::kEos);
+  put_bytes(Truncate(prompt.source, budget));
+  *out++ = Vocab::kTr;
+  *out++ = Vocab::kEos;
   return ids;
 }
 

@@ -2,6 +2,7 @@
 #define DTT_TEXT_SERIALIZER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "text/tokenizer.h"
@@ -53,7 +54,9 @@ class Serializer {
   const SerializerOptions& options() const { return options_; }
 
  private:
-  std::string Truncate(const std::string& row, int budget) const;
+  /// The first `budget` bytes of `row` (all of it when the budget is off),
+  /// as a view into `row`.
+  std::string_view Truncate(std::string_view row, int budget) const;
 
   SerializerOptions options_;
   ByteTokenizer tokenizer_;

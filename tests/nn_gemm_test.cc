@@ -73,9 +73,12 @@ void NaiveGemmBtAcc(const Tensor& a, const Tensor& bt, Tensor* c) {
   }
 }
 
-// 4, 8 and 9 put m and n on GemmAcc's 4-row x 8-column register tile and
-// one past it.
-constexpr int kDims[] = {1, 3, 4, 7, 8, 9, 17, 64, 65};
+// 4, 8 and 9 put m and n on GemmAcc's 4-row tile and its 8-lane width and
+// one past them; 12 (the head width), 24, 28 and 31 give n an 8-lane tile
+// next to a 4-lane one and a scalar tail after a 16-lane tile. So each
+// build pins every column path it has (16-, 8- and 4-lane vectors under
+// AVX2, 8- and 4-lane without, and the scalar tail) against the naive loop.
+constexpr int kDims[] = {1, 3, 4, 7, 8, 9, 12, 17, 24, 28, 31, 64, 65};
 
 TEST(GemmContract, BitIdenticalToNaiveAscendingLoopsWithoutZeroSkip) {
   Rng rng(17);
@@ -117,11 +120,14 @@ TEST(GemmContract, BitIdenticalToNaiveAscendingLoopsWithoutZeroSkip) {
 
 // The encoder's products at a serialized DTT prompt (150 rows, dim 48):
 // Q/K/V/W_o and the FFN input (n 48 and 96), the FFN output (k 96), and the
-// lm_head width (n 261, a vector tail plus one scalar column).
+// lm_head width (n 261, a vector tail plus one scalar column); and
+// AttendSequences' two per-head products at the served 71-token prompt
+// (head width 12): a 4-query block's scores over 71 keys and its weights
+// times V.
 TEST(GemmContract, EncoderShapesBitIdenticalToNaiveLoops) {
   Rng rng(18);
-  const int shapes[][3] = {
-      {150, 48, 48}, {150, 48, 96}, {150, 48, 261}, {150, 96, 48}};
+  const int shapes[][3] = {{150, 48, 48}, {150, 48, 96}, {150, 48, 261},
+                           {150, 96, 48}, {4, 12, 71},   {4, 71, 12}};
   for (const auto& shape : shapes) {
     const int m = shape[0], k = shape[1], n = shape[2];
     Tensor a = RandomTensor({m, k}, &rng);

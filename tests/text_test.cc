@@ -117,15 +117,38 @@ TEST(SerializerTest, RowBudgetFormula) {
   EXPECT_EQ(s.RowBudget(5), (512 - 13) / 11);
 }
 
+// Two examples under a 22-token budget: each row keeps its first
+// (22 - 7) / 5 = 3 bytes. Longer rows lose their tail, a row of exactly 3
+// bytes and a shorter one stay whole.
 TEST(SerializerTest, TruncatedPromptFitsMaxTokens) {
   SerializerOptions opts;
-  opts.max_tokens = 15;
+  opts.max_tokens = 22;
   Serializer s(opts);
+  ASSERT_EQ(s.RowBudget(2), 3);
   Prompt p;
-  p.examples = {{"aaaaaaaaaa", "bbbbbbbbbb"}};
-  p.source = "cccccccccc";
-  auto ids = s.EncodePrompt(p);
-  EXPECT_LE(ids.size(), 15u);
+  p.examples = {{"abcdefghij", "0123456789"}, {"xyz", "78"}};
+  p.source = "klmnopqrst";
+
+  std::vector<int> want = {Vocab::kSos};
+  const auto bytes = [&want](const std::string& row) {
+    for (unsigned char b : row) want.push_back(Vocab::ByteToken(b));
+  };
+  bytes("abc");
+  want.push_back(Vocab::kTr);
+  bytes("012");
+  want.push_back(Vocab::kEoe);
+  bytes("xyz");
+  want.push_back(Vocab::kTr);
+  bytes("78");
+  want.push_back(Vocab::kEoe);
+  bytes("klm");
+  want.push_back(Vocab::kTr);
+  want.push_back(Vocab::kEos);
+  const std::vector<int> ids = s.EncodePrompt(p);
+  EXPECT_EQ(ids, want);
+  EXPECT_LE(ids.size(), 22u);
+  EXPECT_EQ(s.RenderPrompt(p),
+            "<sos>abc<tr>012<eoe>xyz<tr>78<eoe>klm<tr><eos>");
 }
 
 TEST(SerializerTest, NoBudgetEnforcementWhenDisabled) {
