@@ -465,7 +465,7 @@ BENCHMARK(BM_HistogramRecord);
 // BM_LoadArtifactParams is construct + full-verification open + copy into
 // owned storage (the trainable heap path); BM_LoadArtifact is construct +
 // mmap bind with the eager payload checksum off (the serving posture) — the
-// delta is what the registry saves per cold load.
+// delta is what serving from the mmap saves per cold load of one model.
 struct LoadBenchFiles {
   nn::TransformerConfig cfg;
   std::string artifact;

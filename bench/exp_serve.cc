@@ -1,5 +1,9 @@
-// Load generator for the transformation-serving subsystem (src/serve/):
-//  (a) the PR 2 fixed-batch offline path (TransformAllFixedBatch) as the
+// Load generator for the transformation-serving subsystem (src/serve/).
+// Legs (a)-(d) share one workload: a fast simulated backend (pattern
+// induction) plus a slow neural backend, with a skewed request stream
+// (every distinct row requested several times) so the dedup cache sees
+// serving-shaped traffic.
+//  (a) the fixed-batch offline path (TransformAllFixedBatch) as the
 //      baseline — one shared pool, fixed batches, no cache;
 //  (b) closed-loop serving: the same request stream through a
 //      TransformService with per-backend micro-batch queues and the
@@ -8,14 +12,16 @@
 //      per-request latency stamped in the completion callback — reports
 //      p50/p95/p99 latency and achieved rows/sec;
 //  (d) admission backpressure: a flood against a tiny queue bound, counting
-//      typed Unavailable rejections.
-// The workload is the mixed fast+slow two-backend setup of the ROADMAP
-// "multi-backend pooling" item: a fast simulated backend (pattern
-// induction) plus a slow neural backend, with a skewed request stream
-// (every distinct row requested several times) so the dedup cache sees
-// serving-shaped traffic. Every number also lands in the bench JSON
-// document (CI uploads it as a workflow artifact).
-// DTT_EXP_SERVE_QUICK=1 shrinks the stream for smoke runs.
+//      typed Unavailable rejections;
+//  (e) artifact cold load: one neural model written as a DTTART1 file and
+//      loaded back as a heap copy and as an mmap bind, weights asserted
+//      bit-identical between the two;
+//  (f) continuous vs fixed batching on a long-tail open-loop mix (95%
+//      short / 5% long decodes) against one neural backend, predictions
+//      asserted identical closed-loop first.
+// Every number also lands in the bench JSON document (CI uploads it as a
+// workflow artifact). DTT_EXP_SERVE_QUICK=1 shrinks the streams for smoke
+// runs.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -33,7 +39,6 @@
 #include "models/neural_model.h"
 #include "models/pattern_induction.h"
 #include "obs/metrics.h"
-#include "serve/model_registry.h"
 #include "serve/service.h"
 #include "text/vocab.h"
 #include "util/stopwatch.h"
@@ -302,14 +307,13 @@ int Main() {
         .Set("rejected", static_cast<int64_t>(rejected));
   }
 
-  // (e) Multi-model serving: three artifact-backed neural models behind
-  // serve::ModelRegistry. Reports cold-load latency of the two loads of
-  // one .dttart file — heap copy (LoadArtifactParams, payload checksum
-  // verified) vs mmap bind (LoadArtifact, verification off) — with bit-
-  // identity asserted, then p50/p99 under key-mixed traffic with a
-  // resident-bytes cap sized to force evictions. Artifacts land in
-  // DTT_ARTIFACT_DIR when set (CI uploads them), a temp dir otherwise.
-  PrintBanner("(e) multi-model registry (mmap artifacts)");
+  // (e) Artifact cold load: one neural model saved as a .dttart file and
+  // loaded back both ways — heap copy (LoadArtifactParams, payload checksum
+  // verified) vs mmap bind (LoadArtifact, verification off) — reporting the
+  // latency of each with bit-identity of the weights asserted. The artifact
+  // lands in DTT_ARTIFACT_DIR when set (CI uploads it), a temp dir
+  // otherwise.
+  PrintBanner("(e) artifact cold load (heap copy vs mmap bind)");
   {
     namespace fs = std::filesystem;
     const char* env_dir = std::getenv("DTT_ARTIFACT_DIR");
@@ -326,24 +330,14 @@ int Main() {
     cfg.encoder_layers = 2;
     cfg.decoder_layers = 1;
     cfg.max_len = 128;
-    SerializerOptions ser_opts;
-    ser_opts.max_tokens = cfg.max_len;
-    NeuralModelOptions neural_opts;
-    neural_opts.max_output_tokens = 8;
-
-    constexpr int kModels = 3;
-    std::vector<std::string> artifacts, keys;
-    for (int m = 0; m < kModels; ++m) {
-      Rng init_rng(kSeed + 10 + static_cast<uint64_t>(m));
+    const std::string artifact = (dir / "model0.dttart").string();
+    {
+      Rng init_rng(kSeed + 10);
       nn::Transformer model(cfg, &init_rng);
-      const std::string key = "model" + std::to_string(m);
-      const std::string art = (dir / (key + ".dttart")).string();
-      if (!io::SaveArtifact(art, model.Params()).ok()) {
-        std::fprintf(stderr, "FAIL: artifact fleet setup\n");
+      if (!io::SaveArtifact(artifact, model.Params()).ok()) {
+        std::fprintf(stderr, "FAIL: artifact setup\n");
         return 1;
       }
-      artifacts.push_back(art);
-      keys.push_back(key);
     }
 
     // Cold-load latency, best of 5 each; first iteration doubles as the
@@ -356,14 +350,14 @@ int Main() {
       Rng heap_rng(1);
       nn::Transformer heap_model(cfg, &heap_rng);
       auto heap_params = heap_model.Params();
-      if (!io::LoadArtifactParams(artifacts[0], &heap_params).ok()) {
+      if (!io::LoadArtifactParams(artifact, &heap_params).ok()) {
         std::fprintf(stderr, "FAIL: heap cold load\n");
         return 1;
       }
       heap_ms = std::min(heap_ms, heap_timer.Seconds() * 1e3);
 
       Stopwatch mmap_timer;
-      auto loaded = io::LoadArtifact(artifacts[0], cfg,
+      auto loaded = io::LoadArtifact(artifact, cfg,
                                      {.verify_payload_checksum = false});
       if (!loaded.ok()) {
         std::fprintf(stderr, "FAIL: mmap cold load\n");
@@ -388,7 +382,7 @@ int Main() {
         "cold load: heap %.3f ms, mmap %.3f ms (%.2fx), %zu parameter "
         "mismatches\n",
         heap_ms, mmap_ms, cold_speedup, parity_mismatches);
-    report.AddRun("registry_cold_load")
+    report.AddRun("artifact_cold_load")
         .Set("heap_ms", heap_ms)
         .Set("mmap_ms", mmap_ms)
         .Set("speedup", cold_speedup)
@@ -397,108 +391,6 @@ int Main() {
       std::fprintf(stderr,
                    "FAIL: mmap-bound weights diverge from the heap "
                    "copy\n");
-      return 1;
-    }
-
-    // Key-mixed traffic with a cap that fits two of the three models, so
-    // the stream exercises lazy loads, hits, and LRU evictions; rows shed
-    // with the typed Unavailable are retried, never failed.
-    const size_t artifact_bytes = fs::file_size(artifacts[0]);
-    serve::ModelRegistryOptions ropts;
-    ropts.max_resident_bytes = 2 * artifact_bytes + artifact_bytes / 2;
-    {
-      Rng rng(kSeed + 3);
-      ropts.serve.seed = rng.Next();
-      ropts.serve.num_threads = 2;
-    }
-    serve::ModelRegistry registry(ropts);
-    for (int m = 0; m < kModels; ++m) {
-      auto registered = registry.Register(
-          keys[static_cast<size_t>(m)],
-          serve::ArtifactBackendLoader(
-              artifacts[static_cast<size_t>(m)], cfg,
-              [ser_opts, neural_opts](std::shared_ptr<nn::Transformer> model) {
-                return std::make_shared<NeuralSeq2SeqModel>(
-                    std::move(model), Serializer(ser_opts), neural_opts);
-              }));
-      if (!registered.ok()) {
-        std::fprintf(stderr, "FAIL: register %s\n",
-                     keys[static_cast<size_t>(m)].c_str());
-        return 1;
-      }
-    }
-
-    const int reg_requests = quick ? 12 : 36;
-    obs::Histogram latency_ms;
-    std::vector<std::future<RowPrediction>> futures;
-    size_t cap_retries = 0;
-    Rng traffic_rng(kSeed + 77);
-    Stopwatch timer;
-    for (int i = 0; i < reg_requests; ++i) {
-      const std::string& key =
-          keys[traffic_rng.NextBounded(static_cast<size_t>(kModels))];
-      const std::string& source = requests[static_cast<size_t>(i) %
-                                           requests.size()];
-      const auto submitted_at = std::chrono::steady_clock::now();
-      for (int attempt = 0;; ++attempt) {
-        auto admitted = registry.Submit(
-            key, source, examples,
-            [submitted_at, &latency_ms](const RowPrediction&) {
-              const std::chrono::duration<double, std::milli> elapsed =
-                  std::chrono::steady_clock::now() - submitted_at;
-              latency_ms.Record(elapsed.count());
-            });
-        if (admitted.ok()) {
-          futures.push_back(std::move(admitted).value());
-          break;
-        }
-        if (admitted.status().code() != StatusCode::kUnavailable ||
-            attempt >= 2000) {
-          std::fprintf(stderr, "FAIL: submit %s: %s\n", key.c_str(),
-                       admitted.status().ToString().c_str());
-          return 1;
-        }
-        // Typed backpressure: the cap refused a new load — let the pinned
-        // traffic drain and retry.
-        ++cap_retries;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    for (auto& f : futures) f.get();
-    const double seconds = timer.Seconds();
-    const obs::HistogramSnapshot lat = latency_ms.Snapshot();
-    const auto stats = registry.stats();
-    std::printf(
-        "%d key-mixed rows over %d models in %.3f s; latency p50 %.2f ms, "
-        "p99 %.2f ms\n",
-        reg_requests, kModels, seconds, lat.Percentile(0.50),
-        lat.Percentile(0.99));
-    std::printf(
-        "registry: %llu loads, %llu evictions, %llu hits, %llu misses, "
-        "%zu cap retries (resident %zu / cap %zu bytes)\n",
-        static_cast<unsigned long long>(stats.loads),
-        static_cast<unsigned long long>(stats.evictions),
-        static_cast<unsigned long long>(stats.hits),
-        static_cast<unsigned long long>(stats.misses), cap_retries,
-        stats.resident_bytes, ropts.max_resident_bytes);
-    report.AddRun("registry_mixed")
-        .Set("requests", static_cast<int64_t>(reg_requests))
-        .Set("models", static_cast<int64_t>(kModels))
-        .Set("seconds", seconds)
-        .Set("latency_p50_ms", lat.Percentile(0.50))
-        .Set("latency_p99_ms", lat.Percentile(0.99))
-        .Set("loads", static_cast<int64_t>(stats.loads))
-        .Set("evictions", static_cast<int64_t>(stats.evictions))
-        .Set("hits", static_cast<int64_t>(stats.hits))
-        .Set("misses", static_cast<int64_t>(stats.misses))
-        .Set("cap_retries", static_cast<int64_t>(cap_retries))
-        .Set("artifact_bytes", static_cast<int64_t>(artifact_bytes))
-        .Set("max_resident_bytes",
-             static_cast<int64_t>(ropts.max_resident_bytes));
-    if (stats.evictions == 0) {
-      std::fprintf(stderr,
-                   "FAIL: the cap never evicted — leg (e) did not exercise "
-                   "the eviction path\n");
       return 1;
     }
   }

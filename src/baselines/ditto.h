@@ -53,8 +53,6 @@ class DittoMatcher {
   JoinResult Join(const std::vector<std::string>& sources,
                   const std::vector<std::string>& target_values) const;
 
-  const std::array<double, kDittoFeatures>& weights() const { return w_; }
-
  private:
   DittoOptions options_;
   std::array<double, kDittoFeatures> w_{};

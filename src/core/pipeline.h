@@ -78,7 +78,6 @@ class DttPipeline {
       const std::vector<std::string>& sources,
       const std::vector<ExamplePair>& examples, Rng* rng) const;
 
-  const PipelineOptions& options() const { return options_; }
   const std::vector<std::shared_ptr<TextToTextModel>>& models() const {
     return models_;
   }

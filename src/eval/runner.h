@@ -139,8 +139,6 @@ class ExperimentRunner {
 
   GridResult Run(const ExperimentSpec& spec) const;
 
-  const RunnerOptions& options() const { return options_; }
-
  private:
   RunnerOptions options_;
 };

@@ -15,8 +15,6 @@ namespace io {
 struct View {
   const char* data = nullptr;
   size_t size = 0;
-
-  bool empty() const { return size == 0; }
 };
 
 /// A whole file mapped read-only into the address space (PROT_READ,
@@ -41,7 +39,6 @@ class MmapFile {
   bool valid() const { return valid_; }
   const char* data() const { return static_cast<const char*>(addr_); }
   size_t size() const { return size_; }
-  View view() const { return {data(), size()}; }
 
  private:
   void Reset();

@@ -32,10 +32,6 @@ struct PosRef {
   /// indices clamp to n, from-end indices clamp to 0. Atoms use this so a
   /// program generalizes to shorter inputs the way substr()/split() do.
   size_t ResolveClamped(size_t n) const;
-
-  bool operator==(const PosRef& o) const {
-    return index == o.index && from_end == o.from_end;
-  }
 };
 
 /// Per-input token decompositions, lazily computed per separator *family*:

@@ -71,8 +71,6 @@ class KnowledgeLM : public TextToTextModel {
   static double Naturalness(const Prompt& prompt,
                             std::string_view separators);
 
-  const KnowledgeLMOptions& options() const { return options_; }
-
  private:
   KnowledgeLMOptions options_;
 };

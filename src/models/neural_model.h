@@ -55,8 +55,6 @@ class NeuralSeq2SeqModel : public TextToTextModel {
   std::unique_ptr<TokenStreamDecoder> NewStreamDecoder(
       const StreamDecoderOptions& options) override;
 
-  nn::Transformer* model() { return model_.get(); }
-
  private:
   std::shared_ptr<nn::Transformer> model_;
   Serializer serializer_;

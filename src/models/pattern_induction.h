@@ -104,8 +104,6 @@ class PatternInductionModel : public TextToTextModel {
   /// output, so concurrent calls are safe and deterministic.
   bool thread_safe() const override { return true; }
 
-  const PatternInductionOptions& options() const { return options_; }
-
  private:
   PatternInductionOptions options_;
   FallbackMemo fallback_memo_;

@@ -46,7 +46,6 @@ class Var {
   const Tensor& value() const { return node_->value; }
   Tensor& mutable_value() { return node_->value; }
   const Tensor& grad() const { return node_->grad; }
-  bool requires_grad() const { return node_ && node_->requires_grad; }
 
   std::shared_ptr<Node> node() const { return node_; }
 

@@ -55,7 +55,6 @@ class Embedding : public Module {
   void CollectParams(const std::string& prefix,
                      std::vector<NamedParam>* out) override;
 
-  int dim() const { return dim_; }
   const Tensor& weight_value() const { return weight_.value(); }
 
  private:

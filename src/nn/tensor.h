@@ -30,7 +30,6 @@ class Tensor {
   /// Uninitialized (zero-filled) tensor of the given shape.
   explicit Tensor(std::vector<int> shape);
 
-  static Tensor Zeros(std::vector<int> shape) { return Tensor(std::move(shape)); }
   static Tensor Full(std::vector<int> shape, float value);
 
   /// 1-D from values.

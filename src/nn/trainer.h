@@ -68,7 +68,6 @@ class Seq2SeqTrainer {
   EvalResult Evaluate(const std::vector<TrainingInstance>& instances,
                       size_t max_instances = 0);
 
-  const TrainerOptions& options() const { return options_; }
   Adam& optimizer() { return optimizer_; }
 
  private:

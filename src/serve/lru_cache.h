@@ -65,7 +65,6 @@ class ShardedLruCache {
   LruCacheStats stats() const;
 
   size_t size() const;
-  size_t capacity() const { return capacity_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:

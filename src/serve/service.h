@@ -192,8 +192,6 @@ class TransformService {
   void Drain();
 
   ServiceStats stats() const;
-  const ServeOptions& options() const { return options_; }
-  size_t num_backends() const { return backends_.size(); }
 
  private:
   /// One admitted row: output slots plus the completion latch.

@@ -33,8 +33,6 @@ class Decomposer {
                                   const std::vector<ExamplePair>& examples,
                                   Rng* rng) const;
 
-  const DecomposerOptions& options() const { return options_; }
-
  private:
   DecomposerOptions options_;
 };

@@ -51,8 +51,6 @@ class Serializer {
   /// Per-row token budget for a prompt with k examples: ⌊max/(2k+1)⌋.
   int RowBudget(int num_examples) const;
 
-  const SerializerOptions& options() const { return options_; }
-
  private:
   /// The first `budget` bytes of `row` (all of it when the budget is off),
   /// as a view into `row`.

@@ -21,8 +21,6 @@ class ByteTokenizer {
   /// Inverse of Encode: concatenates byte tokens; <tr>/<eoe> render as
   /// nothing; decoding stops at the first <eos>. <pad>/<sos> are skipped.
   std::string Decode(const std::vector<int>& ids) const;
-
-  int vocab_size() const { return Vocab::kSize; }
 };
 
 }  // namespace dtt

@@ -71,8 +71,6 @@ class TrainingDataGenerator {
   };
   SplitData Generate(Rng* rng) const;
 
-  const TrainingDataOptions& options() const { return options_; }
-
  private:
   TrainingDataOptions options_;
 };

@@ -56,9 +56,6 @@ class SubstringUnit : public TransformUnit {
     return std::make_unique<SubstringUnit>(start_, end_);
   }
 
-  int start() const { return start_; }
-  int end() const { return end_; }
-
  private:
   int start_;
   int end_;
@@ -77,9 +74,6 @@ class SplitUnit : public TransformUnit {
   std::unique_ptr<TransformUnit> Clone() const override {
     return std::make_unique<SplitUnit>(sep_, index_);
   }
-
-  char sep() const { return sep_; }
-  int index() const { return index_; }
 
  private:
   char sep_;
@@ -120,8 +114,6 @@ class LiteralUnit : public TransformUnit {
     return std::make_unique<LiteralUnit>(text_);
   }
 
-  const std::string& text() const { return text_; }
-
  private:
   std::string text_;
 };
@@ -149,9 +141,6 @@ class ReplaceCharUnit : public TransformUnit {
   std::unique_ptr<TransformUnit> Clone() const override {
     return std::make_unique<ReplaceCharUnit>(from_, to_);
   }
-
-  char from() const { return from_; }
-  char to() const { return to_; }
 
  private:
   char from_;

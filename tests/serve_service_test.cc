@@ -10,9 +10,13 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "io/model_artifact.h"
 #include "models/knowledge_lm.h"
 #include "models/neural_model.h"
 #include "models/pattern_induction.h"
+#include "testing/temp_dir.h"
+#include "text/serializer.h"
+#include "util/rng.h"
 
 namespace dtt {
 namespace serve {
@@ -391,6 +395,60 @@ TEST(ServeServiceTest, PromptCacheKeyIsUnambiguous) {
   EXPECT_NE(PromptCacheKey(0, a), PromptCacheKey(1, a));
   Prompt c = a;
   EXPECT_EQ(PromptCacheKey(0, a), PromptCacheKey(0, c));
+}
+
+// The serve-level mmap oracle: a neural model whose weights are bound to an
+// mmap'd artifact predicts bit-identically to the saved model itself, both
+// served by a plain TransformService.
+TEST(ServeServiceTest, ArtifactBoundModelMatchesHeapModel) {
+  nn::TransformerConfig cfg;
+  cfg.dim = 16;
+  cfg.num_heads = 2;
+  cfg.ff_hidden = 24;
+  cfg.encoder_layers = 1;
+  cfg.decoder_layers = 1;
+  cfg.max_len = 64;
+
+  testing::ScopedTempDir dir;
+  const std::string art = dir.File("model.dttart");
+  Rng rng(21);
+  auto saved = std::make_shared<nn::Transformer>(cfg, &rng);
+  ASSERT_TRUE(io::SaveArtifact(art, saved->Params()).ok());
+
+  NeuralModelOptions neural_opts;
+  neural_opts.max_output_tokens = 8;
+
+  ServeOptions serve;
+  serve.decomposer.num_trials = 1;
+  serve.seed = 777;
+
+  // Heap oracle: the saved model, served directly.
+  TransformService heap_service(
+      std::make_shared<NeuralSeq2SeqModel>(saved, Serializer(), neural_opts),
+      serve);
+
+  // Mmap path: the same weights bound to the artifact. `loaded.artifact`
+  // keeps the mapping alive for as long as the service decodes.
+  auto loaded =
+      io::LoadArtifact(art, cfg, {.verify_payload_checksum = false});
+  ASSERT_TRUE(loaded.ok());
+  const io::ArtifactModel artifact_model = std::move(loaded).value();
+  TransformService mmap_service(
+      std::make_shared<NeuralSeq2SeqModel>(artifact_model.model, Serializer(),
+                                           neural_opts),
+      serve);
+
+  const auto examples = NameExamples();
+  const std::vector<std::string> sources = {"Kim Campbell", "Brian Mulroney"};
+  for (const auto& source : sources) {
+    auto heap_row = heap_service.Submit(source, examples);
+    ASSERT_TRUE(heap_row.ok());
+    auto mmap_row = mmap_service.Submit(source, examples);
+    ASSERT_TRUE(mmap_row.ok());
+    EXPECT_EQ(mmap_row.value().get().prediction,
+              heap_row.value().get().prediction)
+        << source;
+  }
 }
 
 }  // namespace

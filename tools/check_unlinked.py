@@ -9,6 +9,12 @@ binary reaches. A `dtt::` function that libdtt.a defines and that survives
 in none of the executables has no caller anywhere: delete it, or move it to
 tests/testing if it is a test oracle.
 
+Header-inline functions are out of its reach: an inline function that no
+translation unit calls is never emitted, so it has no symbol to miss.
+Building with -fkeep-inline-functions would emit them, but that also
+reports implicit constructors and lambda thunks, which is too noisy to
+gate on.
+
 perfbench/ is not built: it links nothing that the main tree's binaries do
 not already link, so it cannot clear a finding.
 
