@@ -1,10 +1,9 @@
 #ifndef DTT_NN_GEMM_H_
 #define DTT_NN_GEMM_H_
 
-#include <bit>
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
+#include <vector>
 
 namespace dtt {
 namespace nn {
@@ -16,18 +15,13 @@ namespace internal {
 // bit-exactness contract every engine parity test and pinned decode golden
 // relies on, together with the one softmax and exp kernel in nn/softmax.h
 // (ExpRow, glibc's generic expf in lanes; SoftmaxRows, ascending-j sums):
-//
-//  1. Per output element, partial products are added in ascending-p order.
-//     GemmAcc and GemmAtAcc resume from the element's existing value;
-//     GemmBtAcc sums a fresh dot product and adds it to the element once.
-//  2. Terms whose A operand is an exact fp32 zero are skipped. The skip is
-//     load-bearing for speed (ReLU outputs and causally masked softmax
-//     scores are exact zeros by construction — see the Softmax note in
-//     nn/ops.cc), but never for values: for finite inputs and
-//     accumulators that are not -0.0, skipping `c += 0.0f * b` is bitwise
-//     neutral. nn_gemm_test pins both parts against naive loops with no
-//     skip. A faster kernel must keep this order; reassociating one
-//     element's sum changes output bits.
+// per output element, partial products are added in ascending-p order, one
+// rounded multiply and one rounded add each, with no term skipped. GemmAcc
+// and GemmAtAcc resume from the element's existing value; GemmBtAcc sums a
+// fresh dot product from +0.0f and adds it to the element once. So each
+// kernel equals the naive triple loop for every input, -0.0f, inf and NaN
+// included, and nn_gemm_test pins that on the bits. A faster kernel must
+// keep this order; reassociating one element's sum changes output bits.
 //
 // GemmAcc keeps a tile of C in registers across the whole p loop, up to 4
 // rows by two vectors per row. When the build targets AVX2 (the root
@@ -74,9 +68,6 @@ inline void GemmTile(const float* a, const float* b, float* c, int k, int n,
     }
     for (int r = 0; r < R; ++r) {
       const float av = a[static_cast<size_t>(r) * k + p];
-      // `av == 0.0f` tested on the bits (either sign): one integer branch
-      // where a float compare adds a second one for the unordered case.
-      if ((std::bit_cast<uint32_t>(av) << 1) == 0) continue;
       for (int v = 0; v < V; ++v) acc[r][v] += av * bv[v];
     }
   }
@@ -135,35 +126,27 @@ inline void GemmAtAcc(const float* a, const float* b, float* c, int k, int m,
     const float* arow = a + static_cast<size_t>(p) * m;
     const float* brow = b + static_cast<size_t>(p) * n;
     for (int i = 0; i < m; ++i) {
-      float av = arow[i];
-      if (av == 0.0f) continue;
+      const float av = arow[i];
       float* crow = c + static_cast<size_t>(i) * n;
       for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   }
 }
 
-/// C += A * B^T for A [m,k], B [n,k] -> C [m,n]. Carries the same
-/// `av == 0.0f` skip as GemmAcc/GemmAtAcc (the asymmetry was an oversight):
-/// rows of A that are exact zeros skip their multiply-adds entirely.
-/// Skipping a zero term is bitwise-neutral for the fresh `dot` accumulator,
-/// so this changed no output bit (nn_gemm_test pins the pre-change goldens).
+/// C += A * B^T for A [m,k], B [n,k] -> C [m,n]: B is transposed once to
+/// [k,n] and GemmAcc runs into a zeroed [m,n] tile, so each dot product
+/// starts from +0.0f and adds its terms in ascending p; the tile is then
+/// added to C.
 inline void GemmBtAcc(const float* a, const float* b, float* c, int m, int k,
                       int n) {
-  for (int i = 0; i < m; ++i) {
-    const float* arow = a + static_cast<size_t>(i) * k;
-    float* crow = c + static_cast<size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const float* brow = b + static_cast<size_t>(j) * k;
-      float dot = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        dot += av * brow[p];
-      }
-      crow[j] += dot;
-    }
+  std::vector<float> bt(static_cast<size_t>(k) * n);
+  for (int j = 0; j < n; ++j) {
+    const float* brow = b + static_cast<size_t>(j) * k;
+    for (int p = 0; p < k; ++p) bt[static_cast<size_t>(p) * n + j] = brow[p];
   }
+  std::vector<float> tile(static_cast<size_t>(m) * n, 0.0f);
+  GemmAcc(a, bt.data(), tile.data(), m, k, n);
+  for (size_t i = 0; i < tile.size(); ++i) c[i] += tile[i];
 }
 
 }  // namespace internal

@@ -165,10 +165,9 @@ inline void AttendRows(const Tensor& q, const MultiHeadAttention& attn,
     for (int h = 0; h < num_heads; ++h) {
       const int off = h * dh;
       const float* srow = scores + static_cast<size_t>(h) * kv_len;
-      // Weighted value sum; skip exact zeros like GemmAcc does.
+      // Weighted value sum in ascending keys, every term added.
       for (int j = 0; j < kv_len; ++j) {
         const float a = srow[j];
-        if (a == 0.0f) continue;
         const float* vrow = vrows + static_cast<size_t>(j) * d + off;
         for (int p = 0; p < dh; ++p) crow[off + p] += a * vrow[p];
       }
@@ -188,10 +187,10 @@ inline void AttendRows(const Tensor& q, const MultiHeadAttention& attn,
 /// and K transposed to [dh, L]; then each block of 4 queries takes
 /// GemmAcc's 4-row register tiles over the keys (16 or 8 keys wide, see
 /// nn/gemm.h) into a zeroed score block (each score sums its products in
-/// ascending p from 0, zero q terms skipped), the scale and then
-/// SoftmaxRows, the Softmax op's kernel, on the block, and GemmAcc's 4-row
-/// x dh-lane tiles (8- and 4-lane vectors plus a scalar lane tail) over
-/// ascending keys into a zeroed output block, skipping exact-zero weights.
+/// ascending p from 0), the scale and then SoftmaxRows, the Softmax op's
+/// kernel, on the block, and GemmAcc's 4-row x dh-lane tiles (8- and 4-lane
+/// vectors plus a scalar lane tail) over ascending keys into a zeroed output
+/// block.
 inline void AttendSequences(const Tensor& q, const Tensor& k, const Tensor& v,
                             const MultiHeadAttention& attn,
                             const std::vector<int>& offsets, Tensor* ctx,

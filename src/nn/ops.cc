@@ -151,9 +151,9 @@ Var Relu(const Var& x) {
 
 // Contract relied on by the graph-free decoders (nn/infer_internal.h): this
 // op and their attention kernels run the one SoftmaxRows (nn/softmax.h), and
-// a -1e9 additive mask drives its exp to an exact float 0, which the zero-
-// skipping GEMMs then drop — so causally masked attention is bit-identical
-// to unmasked attention over only the visible positions.
+// a -1e9 additive mask drives its exp to an exact +0 weight. Adding 0 * v to
+// a sum that started at +0 changes nothing, so causally masked attention is
+// bit-identical to unmasked attention over only the visible positions.
 Var Softmax(const Var& x) {
   const Tensor& in = x.value();
   const int rows = in.rank() == 2 ? in.rows() : 1;

@@ -1,10 +1,13 @@
 // GEMM contracts (nn/gemm.h):
 //  - GemmAcc / GemmAtAcc / GemmBtAcc are bit-identical to naive
-//    ascending-p loops that carry no exact-zero skip, on odd/tail dims with
-//    a nonzero initial C — the accumulation order every matrix product in
-//    the system (autograd MatMul, the decode engines' AffineRows) relies on;
+//    ascending-p loops that skip no term, on odd/tail dims with a nonzero
+//    initial C — the accumulation order every matrix product in the system
+//    (autograd MatMul, the decode engines' AffineRows) relies on — and stay
+//    so on the bits when zero A terms meet -0.0f in C or inf/NaN in B;
 //  - the GenerateBatch/BeamDecodeBatch outputs pinned byte-for-byte to the
 //    pre-refactor engine outputs.
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,8 +34,8 @@ Tensor RandomTensor(const std::vector<int>& shape, Rng* rng) {
 }
 
 // Plants exact zeros in a row-major [rows, cols] operand: every fifth
-// element, plus the whole last row when there is more than one, so the
-// kernels' zero skip is on the path.
+// element, plus the whole last row when there is more than one, so zero A
+// terms are on every kernel's path.
 void SprinkleZeros(Tensor* t) {
   for (size_t i = 0; i < t->size(); i += 5) t->data()[i] = 0.0f;
   const int rows = t->rows();
@@ -139,6 +142,73 @@ TEST(GemmContract, EncoderShapesBitIdenticalToNaiveLoops) {
     internal::GemmAcc(a.data(), b.data(), got.data(), m, k, n);
     EXPECT_TRUE(TensorEq(got, want))
         << "GemmAcc m=" << m << " k=" << k << " n=" << n;
+  }
+}
+
+// Plants the B values that make a zero A term's product NaN: in every third
+// column of B (every third row of a transposed B) one +inf, in the next one
+// NaN. One special value per output column keeps at most one NaN source per
+// element, so the NaN that comes out does not depend on operand order.
+void PlantInfAndNan(Tensor* b, bool b_transposed) {
+  const int cols = b_transposed ? b->rows() : b->cols();
+  const int depth = b_transposed ? b->cols() : b->rows();
+  for (int j = 0; j < cols; ++j) {
+    if (j % 3 == 0) continue;
+    const float value = j % 3 == 1 ? std::numeric_limits<float>::infinity()
+                                   : std::numeric_limits<float>::quiet_NaN();
+    const int p = (j * 7) % depth;
+    (b_transposed ? b->at(j, p) : b->at(p, j)) = value;
+  }
+}
+
+bool SameBits(const Tensor& x, const Tensor& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+// No term is skipped: 0 * b is added like any other product, so -0.0f in C
+// turns into +0.0f, and 0 * inf turns the element into NaN, in the kernels
+// exactly as in the naive loops. Compared on the bits, since == would equate
+// -0 with +0 and never match a NaN.
+TEST(GemmContract, ZeroTermsMeetSignedZerosInfAndNanBitForBit) {
+  Rng rng(19);
+  for (int m : kDims) {
+    for (int k : kDims) {
+      for (int n : kDims) {
+        Tensor a = RandomTensor({m, k}, &rng);
+        Tensor at = RandomTensor({k, m}, &rng);
+        Tensor b = RandomTensor({k, n}, &rng);
+        Tensor bt = RandomTensor({n, k}, &rng);
+        Tensor c0 = RandomTensor({m, n}, &rng);
+        SprinkleZeros(&a);
+        SprinkleZeros(&at);
+        a.data()[a.size() / 2] = -0.0f;
+        at.data()[at.size() / 2] = -0.0f;
+        for (size_t i = 0; i < c0.size(); i += 3) c0.data()[i] = -0.0f;
+        PlantInfAndNan(&b, /*b_transposed=*/false);
+        PlantInfAndNan(&bt, /*b_transposed=*/true);
+
+        Tensor want = c0, got = c0;
+        NaiveGemmAcc(a, b, &want);
+        internal::GemmAcc(a.data(), b.data(), got.data(), m, k, n);
+        ASSERT_TRUE(SameBits(got, want))
+            << "GemmAcc m=" << m << " k=" << k << " n=" << n;
+
+        want = c0;
+        got = c0;
+        NaiveGemmAtAcc(at, b, &want);
+        internal::GemmAtAcc(at.data(), b.data(), got.data(), k, m, n);
+        ASSERT_TRUE(SameBits(got, want))
+            << "GemmAtAcc m=" << m << " k=" << k << " n=" << n;
+
+        want = c0;
+        got = c0;
+        NaiveGemmBtAcc(a, bt, &want);
+        internal::GemmBtAcc(a.data(), bt.data(), got.data(), m, k, n);
+        ASSERT_TRUE(SameBits(got, want))
+            << "GemmBtAcc m=" << m << " k=" << k << " n=" << n;
+      }
+    }
   }
 }
 

@@ -15,6 +15,11 @@ Building with -fkeep-inline-functions would emit them, but that also
 reports implicit constructors and lambda thunks, which is too noisy to
 gate on.
 
+Only the executables of the targets the current configure generates are
+scanned, read from CMake's file API (a codemodel-v2 query written before
+configuring). A binary that an earlier build left behind for a target that
+no longer exists is ignored, so it cannot keep a function "linked".
+
 perfbench/ is not built: it links nothing that the main tree's binaries do
 not already link, so it cannot clear a finding.
 
@@ -25,6 +30,7 @@ Exit codes: 0 = every library function is linked somewhere, 1 = unlinked
 functions (listed on stderr), 2 = the build failed or found no binaries.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -53,17 +59,19 @@ def demangle(symbols: list[str]) -> list[str]:
 
 
 def executables(build_dir: Path) -> list[Path]:
+    """Artifacts of the current EXECUTABLE targets, from the file API reply."""
+    reply = build_dir / ".cmake" / "api" / "v1" / "reply"
+    indexes = sorted(reply.glob("index-*.json"))
+    if not indexes:
+        return []
+    index = json.loads(indexes[-1].read_text())
+    codemodel = json.loads(
+        (reply / index["reply"]["codemodel-v2"]["jsonFile"]).read_text())
     found = []
-    for dirpath, dirnames, filenames in os.walk(build_dir):
-        # CMakeFiles holds CMake's compiler probes, not repo binaries.
-        dirnames[:] = [d for d in dirnames if d != "CMakeFiles"]
-        for name in filenames:
-            path = Path(dirpath) / name
-            if not os.access(path, os.X_OK):
-                continue
-            with open(path, "rb") as f:
-                if f.read(4) == b"\x7fELF":
-                    found.append(path)
+    for target in codemodel["configurations"][0]["targets"]:
+        detail = json.loads((reply / target["jsonFile"]).read_text())
+        if detail["type"] == "EXECUTABLE":
+            found += [build_dir / a["path"] for a in detail["artifacts"]]
     return sorted(found)
 
 
@@ -75,6 +83,9 @@ def build(root: Path, build_dir: Path) -> bool:
         "-DCMAKE_CXX_FLAGS=-ffunction-sections",
         "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections",
     ]
+    query = build_dir / ".cmake" / "api" / "v1" / "query"
+    query.mkdir(parents=True, exist_ok=True)
+    (query / "codemodel-v2").touch()
     jobs = str(os.cpu_count() or 1)
     for cmd in (configure, ["cmake", "--build", str(build_dir), "-j", jobs]):
         if subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode != 0:
